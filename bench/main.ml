@@ -210,10 +210,10 @@ let table3 () =
   print_endline " over all coloring iterations, as in the paper;";
   print_endline
     " rds = worklist dataflow rounds, passes = binpack per-pass wall ms)";
-  hrule 78;
-  Printf.printf "%-10s %10s %12s %12s %12s %8s %4s\n" "module" "cands"
-    "edges" "coloring" "binpack" "gc/bp" "rds";
-  hrule 78;
+  hrule 90;
+  Printf.printf "%-10s %10s %12s %12s %12s %12s %8s %4s\n" "module" "cands"
+    "edges" "coloring" "binpack" "twopass" "gc/bp" "rds";
+  hrule 90;
   List.iter
     (fun shape ->
       let prog = Lsra_workloads.Pressure.build machine shape in
@@ -227,12 +227,16 @@ let table3 () =
         best_of_5_alloc prog (fun p ->
             bp_stats := Lsra.Second_chance.run_program machine p)
       in
+      let t_tp =
+        best_of_5_alloc prog (fun p ->
+            ignore (Lsra.Two_pass.run_program machine p))
+      in
       let nproc = shape.Lsra_workloads.Pressure.procs in
-      Printf.printf "%-10s %10d %12d %12.4f %12.4f %8.2f %4d\n"
+      Printf.printf "%-10s %10d %12d %12.4f %12.4f %12.4f %8.2f %4d\n"
         shape.Lsra_workloads.Pressure.sname
         shape.Lsra_workloads.Pressure.candidates
         (!gc_stats.Lsra.Stats.interference_edges / nproc)
-        t_gc t_bp (t_gc /. t_bp) !bp_stats.Lsra.Stats.dataflow_rounds;
+        t_gc t_bp t_tp (t_gc /. t_bp) !bp_stats.Lsra.Stats.dataflow_rounds;
       Printf.printf
         "%-10s   passes(ms): liveness %.2f, lifetime %.2f, scan %.2f, \
          resolution %.2f\n"
@@ -246,7 +250,7 @@ let table3 () =
       Lsra_workloads.Pressure.twldrv;
       Lsra_workloads.Pressure.fpppp;
     ];
-  hrule 78;
+  hrule 90;
   print_endline "sweep: single procedure, growing candidate count";
   hrule 78;
   Printf.printf "%-10s %10s %12s %12s %8s\n" "cands" "window" "coloring"
@@ -871,7 +875,7 @@ let bechamel () =
 (* perfdump: machine-readable allocation-throughput profile. Each
    workload is allocated at every job count in {1, jobs} (best of 5
    wall-clock runs each); per-pass times, per-pass minor-heap words,
-   Gc.quick_stat deltas per job count, and the parallel speedup land in
+   whole-run GC deltas per job count, and the parallel speedup land in
    BENCH_alloc.json. The parallel output is byte-compared against the
    sequential one — any divergence is a determinism bug and exits 4. *)
 let perfdump () =

@@ -652,7 +652,7 @@ let allocate_class ?trace machine func cls stats no_spill_seed =
 
 let run ?trace machine func =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Stats.gc_mark () in
   (match trace with
   | None -> ()
   | Some sink ->

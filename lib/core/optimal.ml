@@ -463,7 +463,7 @@ let baselines machine :
 
 let run_exact ?(opts = default_options) ?trace machine func =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Stats.gc_mark () in
   if Func.n_instrs func > opts.max_instrs then
     raise
       (Budget_exceeded

@@ -257,7 +257,7 @@ let rewrite t =
 
 let run ?trace machine func =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Stats.gc_mark () in
   (match trace with
   | None -> ()
   | Some sink ->

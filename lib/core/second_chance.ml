@@ -2,7 +2,7 @@ let run ?(opts = Binpack.default_options) ?trace machine func =
   (* Wall-clock: [Sys.time] counts CPU over every domain of the process,
      which misattributes time once functions allocate in parallel. *)
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Stats.gc_mark () in
   let scanned = Binpack.scan ~opts ?trace machine func in
   let stats = scanned.Binpack.stats in
   Stats.timed stats Stats.Resolution (fun () -> Resolution.run scanned);

@@ -140,11 +140,20 @@ let timed s pass f =
     account ();
     raise e
 
-(* Delta from a [Gc.quick_stat] snapshot taken earlier {e on the same
-   domain} (quick_stat reads the current domain's counters). *)
-let record_gc_since s (g0 : Gc.stat) =
+(* [Gc.quick_stat]'s [minor_words] only advances at a minor collection on
+   OCaml 5, so a mark pairs it with the exact [Gc.minor_words] count. Both
+   read the current domain's counters: take the mark on the domain that
+   records it. *)
+type gc_mark = { words : float; stat : Gc.stat }
+
+let gc_mark () =
+  let stat = Gc.quick_stat () in
+  { words = Gc.minor_words (); stat }
+
+let record_gc_since s { words; stat = g0 } =
+  let w1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
-  s.minor_words <- s.minor_words +. (g1.minor_words -. g0.minor_words);
+  s.minor_words <- s.minor_words +. (w1 -. words);
   s.promoted_words <-
     s.promoted_words +. (g1.promoted_words -. g0.promoted_words);
   s.major_words <- s.major_words +. (g1.major_words -. g0.major_words);

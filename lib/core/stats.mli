@@ -39,7 +39,7 @@ type t = {
   mutable time_slots : float;
   mutable minor_words : float;
       (** GC pressure attributed to the allocator, recorded as
-          [Gc.quick_stat] deltas on whichever domain ran the function
+          {!gc_mark} deltas on whichever domain ran the function
           (per-domain counters, so parallel runs attribute correctly) *)
   mutable promoted_words : float;
   mutable major_words : float;
@@ -83,9 +83,15 @@ val pass_time : t -> pass -> float
     exception). *)
 val timed : t -> pass -> (unit -> 'a) -> 'a
 
-(** [record_gc_since s g0] adds the GC-counter deltas between [g0] and
-    [Gc.quick_stat ()] to [s]. Take [g0] on the same domain. *)
-val record_gc_since : t -> Gc.stat -> unit
+(** A snapshot of the current domain's GC counters: the exact
+    [Gc.minor_words] count plus a [Gc.quick_stat] for the others. *)
+type gc_mark
+
+val gc_mark : unit -> gc_mark
+
+(** [record_gc_since s m] adds the GC-counter deltas since the mark [m]
+    to [s]. Take [m] on the same domain. *)
+val record_gc_since : t -> gc_mark -> unit
 
 (** Accumulate [s] into [into] (max for round/iteration counters, sums
     elsewhere, including the pass times). *)

@@ -22,44 +22,42 @@ let item_start lifetimes = function
   | Point (_, pos, _) -> pos
 
 (* Occupancy of one register: disjoint segments already committed (busy
-   conventions plus assigned lifetimes), with their owners. *)
+   conventions plus assigned lifetimes), with their owners, keyed by
+   segment start. [reg_busy] slices are disjoint and lifetimes are only
+   committed where nothing conflicts, so the one segment that can cover
+   any part of [s, e] is the last one starting at or before [e]: every
+   query is a predecessor or successor lookup, O(log n). *)
 type occupant = Convention | Owned of int | Pointed
-type occ_seg = { os : int; oe : int; owner : occupant }
 
-type regstate = { mutable occ : occ_seg list (* sorted by os *) }
+module Occ = Map.Make (Int)
 
-let overlaps a_s a_e b_s b_e = a_s <= b_e && b_s <= a_e
+type occ = (int * occupant) Occ.t (* os -> oe, owner *)
 
-let conflicts rs segs =
-  List.filter
-    (fun o ->
-      List.exists (fun { Interval.s; e } -> overlaps o.os o.oe s e) segs)
-    rs.occ
+(* The segment starting at or before [pos], if any. *)
+let pred (occ : occ) pos = Occ.find_last_opt (fun os -> os <= pos) occ
 
-let insert_segs rs segs ~owner =
-  let extra =
-    List.map (fun { Interval.s; e } -> { os = s; oe = e; owner }) segs
+let clashes occ s e =
+  match pred occ e with Some (_, (oe, _)) -> oe >= s | None -> false
+
+let fits_whole itv occ =
+  let rec from i =
+    i = Interval.n_segs itv
+    || (not (clashes occ (Interval.seg_start itv i) (Interval.seg_end itv i)))
+       && from (i + 1)
   in
-  rs.occ <- List.merge (fun a b -> Int.compare a.os b.os) rs.occ
-      (List.sort (fun a b -> Int.compare a.os b.os) extra)
+  from 0
 
-let remove_owner rs id =
-  rs.occ <-
-    List.filter
-      (fun o -> match o.owner with Owned i -> i <> id | Convention | Pointed -> true)
-      rs.occ
-
-(* Size of the free gap containing [pos] (paper's smallest-sufficient-hole
-   heuristic applied to whole lifetimes). *)
-let gap_around rs pos =
-  let rec go lo = function
-    | [] -> (lo, max_int)
-    | o :: rest ->
-      if o.oe < pos then go (max lo (o.oe + 1)) rest
-      else if o.os > pos then (lo, o.os - 1)
-      else (pos, pos) (* occupied: callers only use this on free regs *)
-  in
-  go min_int rs.occ
+(* Size of the free gap containing the free position [pos] (paper's
+   smallest-sufficient-hole heuristic applied to whole lifetimes). A gap
+   with no segment before it starts at [min_int], so [hi - lo] wraps
+   negative ([max_int - min_int] is -1) and such registers win the
+   smallest-gap choice. The wrap is deliberate: it is kept so that
+   allocations stay byte-identical. *)
+let gap_around occ pos =
+  ( (match pred occ pos with Some (_, (oe, _)) -> oe + 1 | None -> min_int),
+    match Occ.find_first_opt (fun os -> os > pos) occ with
+    | Some (os, _) -> os - 1
+    | None -> max_int )
 
 type t = {
   func : Func.t;
@@ -84,16 +82,21 @@ let priority itv =
 
 let allocate ?trace machine func =
   let regidx = Regidx.create machine in
-  let liveness = Liveness.compute func in
-  let loops = Loop.compute (Func.cfg func) in
-  let lifetimes = Lifetime.compute regidx func liveness loops in
+  let stats = Stats.create () in
+  let liveness = Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func) in
+  let lifetimes =
+    Stats.timed stats Stats.Lifetime (fun () ->
+        let loops = Loop.compute (Func.cfg func) in
+        Lifetime.compute regidx func liveness loops)
+  in
   let ntemps = Func.temp_bound func in
   let nregs = Regidx.total regidx in
-  let regs = Array.init nregs (fun _ -> { occ = [] }) in
+  let regs = Array.make nregs Occ.empty in
+  let insert ri s e owner = regs.(ri) <- Occ.add s (e, owner) regs.(ri) in
   for ri = 0 to nregs - 1 do
-    insert_segs regs.(ri)
-      (Array.to_list (Lifetime.reg_busy lifetimes ri))
-      ~owner:Convention
+    Array.iter
+      (fun { Interval.s; e } -> insert ri s e Convention)
+      (Lifetime.reg_busy lifetimes ri)
   done;
   let t =
     {
@@ -103,7 +106,7 @@ let allocate ?trace machine func =
       assignment = Array.make ntemps None;
       point_reg = Hashtbl.create 16;
       slot_of = Array.make ntemps None;
-      stats = Stats.create ();
+      stats;
       trace;
     }
   in
@@ -143,38 +146,31 @@ let allocate ?trace machine func =
         (Point (id, Interval.ref_pos_at itv i, Interval.ref_kind_at itv i))
     done
   in
-  let try_fit segs cand_regs =
-    let fitting =
-      List.filter (fun ri -> conflicts regs.(ri) segs = []) cand_regs
-    in
-    match fitting, segs with
-    | [], _ -> None
-    | _, [] -> None
-    | _, { Interval.s; _ } :: _ ->
-      (* smallest containing gap *)
-      let scored =
-        List.map
-          (fun ri ->
-            let lo, hi = gap_around regs.(ri) s in
-            (ri, hi - lo))
-          fitting
-      in
-      let best =
-        List.fold_left
-          (fun (bri, bg) (ri, g) -> if g < bg then (ri, g) else (bri, bg))
-          (List.hd scored) (List.tl scored)
-      in
-      Some (fst best)
+  (* The first fitting register with the strictly smallest gap around
+     [s] wins. *)
+  let try_fit ~fits s cand_regs =
+    List.fold_left
+      (fun best ri ->
+        if not (fits regs.(ri)) then best
+        else
+          let lo, hi = gap_around regs.(ri) s in
+          match best with
+          | Some (_, bg) when bg <= hi - lo -> best
+          | _ -> Some (ri, hi - lo))
+      None cand_regs
+    |> Option.map fst
   in
   let rec place item =
     match item with
     | Whole id -> (
       let itv = Lifetime.interval_of_id lifetimes id in
-      let segs = Interval.segs itv in
       let cand = Regidx.of_cls regidx (cls_of id) in
-      match try_fit segs cand with
+      match try_fit ~fits:(fits_whole itv) (Interval.start itv) cand with
       | Some ri ->
-        insert_segs regs.(ri) segs ~owner:(Owned id);
+        for i = 0 to Interval.n_segs itv - 1 do
+          insert ri (Interval.seg_start itv i) (Interval.seg_end itv i)
+            (Owned id)
+        done;
         t.assignment.(id) <- Some (Regidx.to_reg regidx ri);
         tr
           (Trace.Assign
@@ -192,14 +188,12 @@ let allocate ?trace machine func =
            earlier-starting lifetimes keep their registers. This is what
            makes cold early lifetimes crowd hot counters out of the
            callee-saved file in the paper's wc experiment. *)
-        ignore (priority itv);
         spill_to_memory id)
     | Point (id, pos, _) -> (
-      let segs = [ { Interval.s = pos; e = pos } ] in
       let cand = Regidx.of_cls regidx (cls_of id) in
-      match try_fit segs cand with
+      match try_fit ~fits:(fun occ -> not (clashes occ pos pos)) pos cand with
       | Some ri ->
-        insert_segs regs.(ri) segs ~owner:Pointed;
+        insert ri pos pos Pointed;
         Hashtbl.replace t.point_reg (id, pos) (Regidx.to_reg regidx ri);
         tr
           (Trace.Assign
@@ -217,8 +211,8 @@ let allocate ?trace machine func =
         let victims =
           List.filter_map
             (fun ri ->
-              match conflicts regs.(ri) segs with
-              | [ { owner = Owned u; _ } ] ->
+              match pred regs.(ri) pos with
+              | Some (_, (oe, Owned u)) when oe >= pos ->
                 Some (ri, u, priority (Lifetime.interval_of_id lifetimes u))
               | _ -> None)
             cand
@@ -236,7 +230,11 @@ let allocate ?trace machine func =
                 if p < bp then (ri, u, p) else (bri, bu, bp))
               hd tl
           in
-          remove_owner regs.(ri) u;
+          (* [u] owns a segment of [ri] at each of its segment starts. *)
+          let itv = Lifetime.interval_of_id lifetimes u in
+          for i = 0 to Interval.n_segs itv - 1 do
+            regs.(ri) <- Occ.remove (Interval.seg_start itv i) regs.(ri)
+          done;
           spill_to_memory u;
           place item))
   in
@@ -248,7 +246,7 @@ let allocate ?trace machine func =
       place item;
       drain ()
   in
-  drain ();
+  Stats.timed stats Stats.Scan drain;
   t
 
 (* Second pass: rewrite every reference according to the whole-lifetime
@@ -376,14 +374,14 @@ let rewrite t =
 
 let run ?trace machine func =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Stats.gc_mark () in
   (match trace with
   | None -> ()
   | Some sink ->
     Trace.emit sink
       (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func }));
   let t = allocate ?trace machine func in
-  rewrite t;
+  Stats.timed t.stats Stats.Scan (fun () -> rewrite t);
   Stats.record_gc_since t.stats g0;
   t.stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
   t.stats

@@ -97,6 +97,55 @@ let test_wc_two_pass_worse () =
     (Printf.sprintf "two-pass (%d) slower than second chance (%d)" tp sc)
     true (tp > sc)
 
+(* Two-pass output pinned to MD5 digests of [Ir_text] after the verified
+   default pipeline. The digests predate the ordered per-register
+   occupancy, so they hold its placements and tie-breaks (first register
+   with the strictly smallest gap, the min_int wrap) to the original
+   list-based packing. *)
+let test_two_pass_digests () =
+  let module W = Lsra_workloads in
+  let tiny4 = Machine.small ~int_regs:4 ~float_regs:4 () in
+  let text machine prog =
+    ignore
+      (Lsra.Allocator.pipeline ~verify:true Lsra.Allocator.Two_pass machine
+         prog);
+    Lsra_text.Ir_text.to_string prog
+  in
+  let check name expected s =
+    Alcotest.(check string) name expected (Digest.to_hex (Digest.string s))
+  in
+  let alpha = Machine.alpha_like in
+  check "twldrv" "138403e70881cdc2f495334a66758f3c"
+    (text alpha (W.Pressure.build alpha W.Pressure.twldrv));
+  check "fpppp" "056bad0126b64a316df091a798518bfb"
+    (text alpha (W.Pressure.build alpha W.Pressure.fpppp));
+  check "scaled 2000x24 on tiny-4" "a9f36befb82a6134824e70b92ce046b3"
+    (text tiny4 (W.Pressure.scaled ~candidates:2000 ~window:24 tiny4));
+  check "hostile seeds 0..19 on tiny-4" "a616a1778136de7d3400a13c250309b1"
+    (String.concat ""
+       (List.init 20 (fun seed ->
+            text tiny4
+              (W.Gen.program ~params:(W.Gen.hostile_params ~seed) tiny4))))
+
+(* Complexity gate on exact allocation counts, not wall time: four times
+   the candidates may cost at most six times the minor-heap words. A
+   packing loop that walks each register's whole occupancy per query
+   is quadratic and lands near 12. *)
+let test_two_pass_near_linear () =
+  let machine = Machine.alpha_like in
+  let words candidates =
+    let prog = Lsra_workloads.Pressure.scaled ~candidates ~window:9 machine in
+    let w0 = Gc.minor_words () in
+    ignore (Lsra.Allocator.run_program Lsra.Allocator.Two_pass machine prog);
+    Gc.minor_words () -. w0
+  in
+  let small = words 1000 in
+  let large = words 4000 in
+  let ratio = large /. small in
+  Alcotest.(check bool)
+    (Printf.sprintf "4000/1000 allocation ratio %.2f <= 6" ratio)
+    true (ratio <= 6.)
+
 let suite =
   [
     Alcotest.test_case "two-pass basic" `Quick test_two_pass_basic;
@@ -105,4 +154,7 @@ let suite =
     Alcotest.test_case "poletto pressure" `Quick test_poletto_pressure;
     Alcotest.test_case "wc: two-pass worse than second chance" `Quick
       test_wc_two_pass_worse;
+    Alcotest.test_case "two-pass output digests" `Quick test_two_pass_digests;
+    Alcotest.test_case "two-pass allocation near-linear" `Quick
+      test_two_pass_near_linear;
   ]

@@ -47,6 +47,20 @@ let test_stats_accumulate () =
     a.Lsra.Stats.coloring_iterations;
   Alcotest.(check int) "total spill" 6 (Lsra.Stats.total_spill a)
 
+(* GC marks count minor words exactly, whether or not a minor collection
+   ran in between: 1000 conses are at least 3000 words. *)
+let test_stats_gc_exact () =
+  let s = Lsra.Stats.create () in
+  let mark = Lsra.Stats.gc_mark () in
+  let l = Sys.opaque_identity (List.init 1000 Fun.id) in
+  Lsra.Stats.record_gc_since s mark;
+  ignore (Sys.opaque_identity l);
+  let w = s.Lsra.Stats.minor_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words in [3000, 4000)" w)
+    true
+    (w >= 3000. && w < 4000.)
+
 let test_pipeline_runs_dce () =
   (* pipeline must remove dead code before allocating *)
   let machine = Machine.small () in
@@ -274,6 +288,7 @@ let suite =
     Alcotest.test_case "peephole keeps real moves" `Quick
       test_peephole_keeps_real_moves;
     Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
+    Alcotest.test_case "stats gc words exact" `Quick test_stats_gc_exact;
     Alcotest.test_case "pipeline runs dce" `Quick test_pipeline_runs_dce;
     Alcotest.test_case "pipeline verifies all algorithms" `Quick
       test_pipeline_verifies_all_algorithms;
