@@ -220,16 +220,17 @@ let table3 () =
       let gc_stats = ref (Lsra.Stats.create ()) in
       let t_gc =
         best_of_5_alloc prog (fun p ->
-            gc_stats := Lsra.Coloring.run_program machine p)
+            gc_stats := Lsra.Allocator.(run_program Graph_coloring) machine p)
       in
       let bp_stats = ref (Lsra.Stats.create ()) in
       let t_bp =
         best_of_5_alloc prog (fun p ->
-            bp_stats := Lsra.Second_chance.run_program machine p)
+            bp_stats :=
+              Lsra.Allocator.(run_program default_second_chance) machine p)
       in
       let t_tp =
         best_of_5_alloc prog (fun p ->
-            ignore (Lsra.Two_pass.run_program machine p))
+            ignore (Lsra.Allocator.(run_program Two_pass) machine p))
       in
       let nproc = shape.Lsra_workloads.Pressure.procs in
       Printf.printf "%-10s %10d %12d %12.4f %12.4f %12.4f %8.2f %4d\n"
@@ -267,11 +268,12 @@ let table3 () =
       in
       let t_gc =
         best_of_5_alloc prog (fun p ->
-            ignore (Lsra.Coloring.run_program machine p))
+            ignore (Lsra.Allocator.(run_program Graph_coloring) machine p))
       in
       let t_bp =
         best_of_5_alloc prog (fun p ->
-            ignore (Lsra.Second_chance.run_program machine p))
+            ignore
+              (Lsra.Allocator.(run_program default_second_chance) machine p))
       in
       Printf.printf "%-10d %10d %12.4f %12.4f %8.2f\n" candidates window t_gc
         t_bp (t_gc /. t_bp))
@@ -377,7 +379,7 @@ let layout () =
     let prog = Lsra_workloads.Gen.program ~params m in
     let resolution f =
       let f = Func.copy f in
-      let stats = Lsra.Second_chance.run m f in
+      let stats = Lsra.Allocator.(run default_second_chance) m f in
       stats.Lsra.Stats.resolve_loads + stats.Lsra.Stats.resolve_stores
       + stats.Lsra.Stats.resolve_moves
     in
@@ -872,12 +874,14 @@ let bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
-(* perfdump: machine-readable allocation-throughput profile. Each
-   workload is allocated at every job count in {1, jobs} (best of 5
-   wall-clock runs each); per-pass times, per-pass minor-heap words,
-   whole-run GC deltas per job count, and the parallel speedup land in
-   BENCH_alloc.json. The parallel output is byte-compared against the
-   sequential one — any divergence is a determinism bug and exits 4. *)
+(* perfdump: machine-readable allocation-throughput profile. Every
+   workload is allocated by every allocator of [Allocator.all] at each
+   job count in {1, jobs} (best of 5 wall-clock runs each); per-pass
+   times, per-pass minor-heap words, whole-run GC deltas per job count,
+   and the parallel speedup land in BENCH_alloc.json, one entry per
+   allocator under each workload. The parallel output is byte-compared
+   against the sequential one — any divergence is a determinism bug and
+   exits 4. *)
 let perfdump () =
   let workloads =
     List.map
@@ -896,123 +900,140 @@ let perfdump () =
         (cases ())
   in
   let job_counts = if jobs > 1 then [ 1; jobs ] else [ 1 ] in
-  let lifetime_impl =
-    match Sys.getenv_opt "LSRA_LIFETIME_IMPL" with
-    | Some s -> s
-    | None -> "arena"
-  in
+  let algos = Lsra.Allocator.all in
   let buf = Buffer.create 4096 in
-  let totals = Array.make (List.length job_counts) 0. in
+  (* Per allocator (in [algos] order), per job count: summed best wall. *)
+  let totals =
+    Array.init (List.length algos) (fun _ ->
+        Array.make (List.length job_counts) 0.)
+  in
   let divergent = ref 0 in
   Printf.bprintf buf
     "{\n\
     \  \"machine\": %S,\n\
     \  \"scale\": %d,\n\
     \  \"jobs\": %d,\n\
-    \  \"lifetime_impl\": %S,\n\
     \  \"workloads\": [\n"
-    (Machine.name machine) scale jobs lifetime_impl;
+    (Machine.name machine) scale jobs;
+  (* One allocator on one workload: the JSON entry and a console line. *)
+  let profile ~name ~n_instrs prog a algo =
+    let aname = Lsra.Allocator.short_name algo in
+    (* Best of 5 wall-clock runs at [j] jobs, plus the stats and output
+       text of the first run. *)
+    let allocate j =
+      let best = ref infinity and first = ref None in
+      for _ = 1 to 5 do
+        let p = Program.copy prog in
+        let t0 = Unix.gettimeofday () in
+        let stats = Lsra.Allocator.run_program ~jobs:j algo machine p in
+        best := min !best (Unix.gettimeofday () -. t0);
+        if Option.is_none !first then
+          first := Some (stats, Lsra_text.Ir_text.to_string p)
+      done;
+      let stats, text = Option.get !first in
+      (j, !best, stats, text)
+    in
+    let per_jobs = List.map allocate job_counts in
+    (* Reference run: sequential output text, stats and GC profile. *)
+    let _, _, s, seq_text = List.hd per_jobs in
+    List.iter
+      (fun (j, _, _, text) ->
+        if not (String.equal text seq_text) then begin
+          incr divergent;
+          Printf.eprintf
+            "perfdump: %s/%s: output at %d jobs diverges from sequential\n%!"
+            name aname j
+        end)
+      per_jobs;
+    let per_jobs = List.map (fun (j, w, st, _) -> (j, w, st)) per_jobs in
+    let wall1 = match per_jobs with (_, w, _) :: _ -> w | [] -> assert false in
+    List.iteri
+      (fun k (_, w, _) -> totals.(a).(k) <- totals.(a).(k) +. w)
+      per_jobs;
+    let pw p = s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index p) in
+    if a > 0 then Buffer.add_string buf ",";
+    Printf.bprintf buf
+      "\n\
+      \        { \"algo\": %S, \"dataflow_rounds\": %d, \"spill_instrs\": %d,\n\
+      \          \"pass_times_s\": { \"liveness\": %.6f, \"lifetime\": %.6f, \
+       \"scan\": %.6f, \"resolution\": %.6f, \"peephole\": %.6f },\n\
+      \          \"pass_minor_words\": { \"liveness\": %.0f, \"lifetime\": \
+       %.0f, \"scan\": %.0f, \"resolution\": %.0f, \"peephole\": %.0f },\n\
+      \          \"minor_words_per_instr\": %.1f,\n\
+      \          \"by_jobs\": ["
+      aname s.Lsra.Stats.dataflow_rounds (Lsra.Stats.total_spill s)
+      s.Lsra.Stats.time_liveness s.Lsra.Stats.time_lifetime
+      s.Lsra.Stats.time_scan s.Lsra.Stats.time_resolution
+      s.Lsra.Stats.time_peephole (pw Lsra.Stats.Liveness)
+      (pw Lsra.Stats.Lifetime) (pw Lsra.Stats.Scan)
+      (pw Lsra.Stats.Resolution) (pw Lsra.Stats.Peephole)
+      (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs));
+    List.iteri
+      (fun k (j, w, st) ->
+        if k > 0 then Buffer.add_string buf ",";
+        Printf.bprintf buf
+          "\n\
+          \            { \"jobs\": %d, \"wall_s\": %.6f, \"speedup\": %.3f,\n\
+          \              \"gc\": { \"minor_words\": %.0f, \"promoted_words\": \
+           %.0f, \"major_words\": %.0f, \"minor_collections\": %d, \
+           \"major_collections\": %d } }"
+          j w (wall1 /. w) st.Lsra.Stats.minor_words
+          st.Lsra.Stats.promoted_words st.Lsra.Stats.major_words
+          st.Lsra.Stats.minor_collections st.Lsra.Stats.major_collections)
+      per_jobs;
+    Buffer.add_string buf " ] }";
+    Printf.printf "%-20s %-8s" name aname;
+    List.iter
+      (fun (j, w, _) -> Printf.printf "  j%-2d %.4fs (x%.2f)" j w (wall1 /. w))
+      per_jobs;
+    Printf.printf "  %.0f mw/instr\n%!"
+      (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs))
+  in
   List.iteri
     (fun i (name, prog) ->
       let funcs = Program.funcs prog in
       let n_instrs =
         List.fold_left (fun acc (_, f) -> acc + Func.n_instrs f) 0 funcs
       in
-      (* Reference run: sequential output text, stats and GC profile. *)
-      let seq_stats = ref (Lsra.Stats.create ()) in
-      let seq_text =
-        let p = Program.copy prog in
-        seq_stats := Lsra.Second_chance.run_program machine p;
-        Lsra_text.Ir_text.to_string p
-      in
-      let per_jobs =
-        List.map
-          (fun j ->
-            let stats = ref (Lsra.Stats.create ()) in
-            let text =
-              let p = Program.copy prog in
-              stats := Lsra.Second_chance.run_program ~jobs:j machine p;
-              Lsra_text.Ir_text.to_string p
-            in
-            if not (String.equal text seq_text) then begin
-              incr divergent;
-              Printf.eprintf
-                "perfdump: %s: output at %d jobs diverges from sequential\n%!"
-                name j
-            end;
-            let wall =
-              best_of_5_alloc prog (fun p ->
-                  ignore (Lsra.Second_chance.run_program ~jobs:j machine p))
-            in
-            (j, wall, !stats))
-          job_counts
-      in
-      let wall1 =
-        match per_jobs with (_, w, _) :: _ -> w | [] -> assert false
-      in
-      List.iteri
-        (fun k (_, w, _) -> totals.(k) <- totals.(k) +. w)
-        per_jobs;
-      let s = !seq_stats in
-      let pw p = s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index p) in
       if i > 0 then Buffer.add_string buf ",\n";
       Printf.bprintf buf
         "    { \"name\": %S, \"funcs\": %d, \"instrs\": %d,\n\
-        \      \"dataflow_rounds\": %d, \"spill_instrs\": %d,\n\
-        \      \"pass_times_s\": { \"liveness\": %.6f, \"lifetime\": %.6f, \
-         \"scan\": %.6f, \"resolution\": %.6f, \"peephole\": %.6f },\n\
-        \      \"pass_minor_words\": { \"liveness\": %.0f, \"lifetime\": \
-         %.0f, \"scan\": %.0f, \"resolution\": %.0f, \"peephole\": %.0f },\n\
-        \      \"minor_words_per_instr\": %.1f,\n\
-        \      \"by_jobs\": ["
-        name (List.length funcs) n_instrs s.Lsra.Stats.dataflow_rounds
-        (Lsra.Stats.total_spill s) s.Lsra.Stats.time_liveness
-        s.Lsra.Stats.time_lifetime s.Lsra.Stats.time_scan
-        s.Lsra.Stats.time_resolution s.Lsra.Stats.time_peephole
-        (pw Lsra.Stats.Liveness) (pw Lsra.Stats.Lifetime)
-        (pw Lsra.Stats.Scan) (pw Lsra.Stats.Resolution)
-        (pw Lsra.Stats.Peephole)
-        (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs));
+        \      \"allocators\": ["
+        name (List.length funcs) n_instrs;
+      List.iteri (profile ~name ~n_instrs prog) algos;
+      Buffer.add_string buf " ] }")
+    workloads;
+  Printf.bprintf buf "\n  ],\n  \"total\": [";
+  List.iteri
+    (fun a algo ->
+      let t = totals.(a) in
+      if a > 0 then Buffer.add_string buf ",";
+      Printf.bprintf buf "\n    { \"algo\": %S, \"by_jobs\": ["
+        (Lsra.Allocator.short_name algo);
       List.iteri
-        (fun k (j, w, st) ->
+        (fun k j ->
           if k > 0 then Buffer.add_string buf ",";
           Printf.bprintf buf
-            "\n\
-            \        { \"jobs\": %d, \"wall_s\": %.6f, \"speedup\": %.3f,\n\
-            \          \"gc\": { \"minor_words\": %.0f, \"promoted_words\": \
-             %.0f, \"major_words\": %.0f, \"minor_collections\": %d, \
-             \"major_collections\": %d } }"
-            j w (wall1 /. w) st.Lsra.Stats.minor_words
-            st.Lsra.Stats.promoted_words st.Lsra.Stats.major_words
-            st.Lsra.Stats.minor_collections st.Lsra.Stats.major_collections)
-        per_jobs;
-      Buffer.add_string buf " ] }";
-      Printf.printf "%-20s" name;
-      List.iter
-        (fun (j, w, _) -> Printf.printf "  j%-2d %.4fs (x%.2f)" j w (wall1 /. w))
-        per_jobs;
-      Printf.printf "  %.0f mw/instr\n%!"
-        (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs)))
-    workloads;
-  Printf.bprintf buf "\n  ],\n  \"total\": { \"by_jobs\": [";
-  List.iteri
-    (fun k j ->
-      if k > 0 then Buffer.add_string buf ",";
-      Printf.bprintf buf
-        " { \"jobs\": %d, \"wall_s\": %.6f, \"speedup\": %.3f }" j totals.(k)
-        (totals.(0) /. totals.(k)))
-    job_counts;
-  Printf.bprintf buf " ] },\n  \"parallel_divergence\": %d\n}\n" !divergent;
+            " { \"jobs\": %d, \"wall_s\": %.6f, \"speedup\": %.3f }" j t.(k)
+            (t.(0) /. t.(k)))
+        job_counts;
+      Buffer.add_string buf " ] }")
+    algos;
+  Printf.bprintf buf "\n  ],\n  \"parallel_divergence\": %d\n}\n" !divergent;
   let out = bench_out_path "BENCH_alloc.json" in
   Out_channel.with_open_text out (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf));
-  Printf.printf "total:";
   List.iteri
-    (fun k j ->
-      Printf.printf "  j%-2d %.4fs (x%.2f)" j totals.(k)
-        (totals.(0) /. totals.(k)))
-    job_counts;
-  Printf.printf " — wrote %s\n" out;
+    (fun a algo ->
+      Printf.printf "total %-8s" (Lsra.Allocator.short_name algo);
+      List.iteri
+        (fun k j ->
+          Printf.printf "  j%-2d %.4fs (x%.2f)" j totals.(a).(k)
+            (totals.(a).(0) /. totals.(a).(k)))
+        job_counts;
+      print_newline ())
+    algos;
+  Printf.printf "wrote %s\n" out;
   if !divergent > 0 then begin
     Printf.eprintf
       "perfdump: FAIL — %d workload(s) diverged between sequential and \

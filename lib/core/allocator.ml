@@ -31,13 +31,63 @@ let short_name = function
   | Graph_coloring -> "gc"
   | Optimal _ -> "optimal"
 
+(* The envelope around every allocation: one analysis, wall time and GC
+   accounting. Each allocator's entry point only fills the stats it is
+   given. Wall-clock, not [Sys.time]: process CPU time counts every
+   domain, which misattributes time once functions allocate in parallel.
+   The [Fn] event opens the function's trace section; the exact
+   allocator's fallback records its [Downgrade] before that. *)
 let run ?trace algorithm machine func =
-  match algorithm with
-  | Second_chance opts -> Second_chance.run ~opts ?trace machine func
-  | Two_pass -> Two_pass.run ?trace machine func
-  | Poletto -> Poletto.run ?trace machine func
-  | Graph_coloring -> Coloring.run ?trace machine func
-  | Optimal opts -> Optimal.run ~opts ?trace machine func
+  let t0 = Unix.gettimeofday () in
+  let g0 = Stats.gc_mark () in
+  let stats = Stats.create () in
+  let begin_fn () = Trace.begin_fn trace func in
+  let analysis () = Analysis.build stats machine func in
+  (match algorithm with
+  | Second_chance opts ->
+    begin_fn ();
+    Resolution.run
+      (Binpack.scan ~opts ?trace ~analysis:(analysis ()) ~stats machine func)
+  | Two_pass ->
+    begin_fn ();
+    Two_pass.allocate ?trace stats (analysis ()) func
+  | Poletto ->
+    begin_fn ();
+    Poletto.allocate ?trace stats (analysis ()) func
+  | Graph_coloring ->
+    begin_fn ();
+    Coloring.allocate ?trace stats machine func
+  | Optimal opts -> (
+    (* The exact allocator opens its own section once it commits; the
+       size gate runs before any analysis is built. *)
+    match
+      Optimal.check_gate opts func;
+      Optimal.allocate ~opts ?trace stats (analysis ()) func
+    with
+    | () -> ()
+    | exception Optimal.Budget_exceeded _ ->
+      (* Degrade like the service's deadline ladder does, and account for
+         it the same way: a Downgrade event plus a [downgrades] bump, so a
+         fallen-back function can never pose as an exact result. *)
+      (match trace with
+      | None -> ()
+      | Some sink ->
+        let budget = float_of_int opts.Optimal.node_budget in
+        Trace.emit sink
+          (Trace.Downgrade
+             {
+               req = Func.name func;
+               from_algo = "optimal";
+               to_algo = "gc";
+               budget;
+               predicted = budget;
+             }));
+      begin_fn ();
+      Coloring.allocate ?trace stats machine func;
+      stats.Stats.downgrades <- stats.Stats.downgrades + 1));
+  Stats.record_gc_since stats g0;
+  stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
+  stats
 
 let run_program ?jobs ?trace algorithm machine prog =
   (* A shared trace sink is not domain-safe: force sequential. *)

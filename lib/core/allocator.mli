@@ -26,8 +26,12 @@ val all : algorithm list
 val name : algorithm -> string
 val short_name : algorithm -> string
 
-(** Allocate one function. [trace] records every allocation decision into
-    the given sink (see {!Trace}); replaying the stream with
+(** Allocate one function, inside the envelope every allocator shares:
+    the shared {!Analysis.t} is built once (after {!Optimal}'s size gate,
+    and never for graph coloring), the allocator fills a fresh
+    {!Stats.t}, and the whole call is charged to [alloc_time] and the
+    GC counters. [trace] records every allocation decision into the
+    given sink (see {!Trace}); replaying the stream with
     {!Trace.replay_check} against the returned stats turns any traced run
     into a self-checking test. *)
 val run : ?trace:Trace.t -> algorithm -> Machine.t -> Func.t -> Stats.t

@@ -636,19 +636,14 @@ let release_dead st ~pos =
     st.dead_at <- !m
   end
 
-let scan ?(opts = default_options) ?trace machine func =
-  let regidx = Regidx.create machine in
-  let stats = Stats.create () in
-  (match trace with
-  | None -> ()
-  | Some t ->
-    Trace.emit t (Fn { name = Func.name func; slots0 = Func.n_slots func }));
-  let liveness = Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func) in
-  let lifetimes =
-    Stats.timed stats Stats.Lifetime (fun () ->
-        let loops = Loop.compute (Func.cfg func) in
-        Lifetime.compute regidx func liveness loops)
+let scan ?(opts = default_options) ?trace ?analysis ?(stats = Stats.create ())
+    machine func =
+  let { Analysis.regidx; liveness; lifetimes } =
+    match analysis with
+    | Some a -> a
+    | None -> Analysis.build stats machine func
   in
+  Stats.timed stats Stats.Scan @@ fun () ->
   let cfg = Func.cfg func in
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
@@ -693,7 +688,6 @@ let scan ?(opts = default_options) ?trace machine func =
   let linear = Lifetime.linear lifetimes in
   let preds = Cfg.preds_table cfg in
   let visited = Array.make nb false in
-  let scan_t0 = Unix.gettimeofday () in
   for bi = 0 to nb - 1 do
     let b = blocks.(bi) in
     let label = Block.label b in
@@ -858,6 +852,4 @@ let scan ?(opts = default_options) ?trace machine func =
     Block.set_body b (Array.of_list (List.rev st.emit_rev));
     visited.(bi) <- true
   done;
-  stats.Stats.time_scan <-
-    stats.Stats.time_scan +. (Unix.gettimeofday () -. scan_t0);
   res

@@ -55,9 +55,18 @@ type t = {
 exception Out_of_registers of string
 
 (** Run the allocate-and-rewrite scan, mutating [func]'s block bodies and
-    terminators. When [trace] is given, every allocation decision is
-    recorded into it (see {!Trace}); with it absent the scan pays only a
-    pointer test per decision. Raises {!Out_of_registers} only when a
-    single instruction references more distinct locations than the machine
-    has registers. *)
-val scan : ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> t
+    terminators, and time it as the {!Stats.Scan} pass of [stats] (a
+    fresh record by default, returned as the result's [stats]). The scan
+    reads [analysis], built here when absent. When [trace] is given,
+    every allocation decision is recorded into it (see {!Trace}); with it
+    absent the scan pays only a pointer test per decision. Raises
+    {!Out_of_registers} only when a single instruction references more
+    distinct locations than the machine has registers. *)
+val scan :
+  ?opts:options ->
+  ?trace:Trace.t ->
+  ?analysis:Analysis.t ->
+  ?stats:Stats.t ->
+  Machine.t ->
+  Func.t ->
+  t

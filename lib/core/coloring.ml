@@ -569,13 +569,15 @@ let apply_colors ~trace ctx =
       Block.rewrite_term b ~use:map)
     (Func.cfg ctx.func)
 
-let allocate_class ?trace machine func cls stats no_spill_seed =
+(* Spill and rebuild until the class colors. Every round recomputes
+   liveness and loop depths on the rewritten code (timed as the
+   {!Stats.Liveness} pass) and colors under {!Stats.Scan}. *)
+let allocate_class ?trace machine func cls stats =
   let max_rounds = 48 in
-  let rec round no_spill_ids iter =
-    if iter > max_rounds then
-      raise (Coloring_failure "too many spill/rebuild iterations");
-    stats.Stats.coloring_iterations <-
-      max stats.Stats.coloring_iterations iter;
+  (* One build-color round over the function's current code: [None] when
+     every node colored (the colors are applied), otherwise the ids of the
+     fresh spill temporaries the rewrite introduced. *)
+  let color_round no_spill_ids liveness loops =
     let k = Machine.n_regs machine cls in
     let tb = Func.temp_bound func in
     let n = k + tb in
@@ -628,8 +630,6 @@ let allocate_class ?trace machine func cls stats no_spill_seed =
         stats;
       }
     in
-    let liveness = Liveness.compute func in
-    let loops = Loop.compute (Func.cfg func) in
     build ctx liveness loops;
     make_worklist ctx;
     let rec work () =
@@ -643,30 +643,30 @@ let allocate_class ?trace machine func cls stats no_spill_seed =
     work ();
     assign_colors ctx;
     match ctx.spilled_nodes with
-    | [] -> apply_colors ~trace ctx
-    | spilled ->
-      let fresh = rewrite_spills ~trace ctx spilled in
-      round (fresh @ no_spill_ids) (iter + 1)
+    | [] ->
+      apply_colors ~trace ctx;
+      None
+    | spilled -> Some (rewrite_spills ~trace ctx spilled)
   in
-  round no_spill_seed 1
+  let rec round no_spill_ids iter =
+    if iter > max_rounds then
+      raise (Coloring_failure "too many spill/rebuild iterations");
+    stats.Stats.coloring_iterations <-
+      max stats.Stats.coloring_iterations iter;
+    let liveness, loops =
+      Stats.timed stats Stats.Liveness (fun () ->
+          (Liveness.compute func, Loop.compute (Func.cfg func)))
+    in
+    match
+      Stats.timed stats Stats.Scan (fun () ->
+          color_round no_spill_ids liveness loops)
+    with
+    | None -> ()
+    | Some fresh -> round (fresh @ no_spill_ids) (iter + 1)
+  in
+  round [] 1
 
-let run ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Stats.gc_mark () in
-  (match trace with
-  | None -> ()
-  | Some sink ->
-    Trace.emit sink
-      (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func }));
-  let stats = Stats.create () in
-  allocate_class ?trace machine func Rclass.Int stats [];
-  allocate_class ?trace machine func Rclass.Float stats [];
-  stats.Stats.slots <- Func.n_slots func;
-  Stats.record_gc_since stats g0;
-  stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
-  stats
-
-let run_program ?jobs ?trace machine prog =
-  (* A shared trace sink is not domain-safe: force sequential. *)
-  let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?trace machine)
+let allocate ?trace stats machine func =
+  allocate_class ?trace machine func Rclass.Int stats;
+  allocate_class ?trace machine func Rclass.Float stats;
+  stats.Stats.slots <- Func.n_slots func

@@ -11,13 +11,11 @@ open Lsra_target
 
 exception Coloring_failure of string
 
-(** Allocate one function in place. [trace] records spill-slot grants,
-    spill/reload insertions and the final color of every temporary (see
-    {!Trace}). *)
-val run : ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
-
-(** Allocate every function of a program; returns accumulated stats
-    ([coloring_iterations] and [interference_edges] feed Table 3).
-    [jobs] fans out across domains via {!Parallel.fold_stats}. *)
-val run_program :
-  ?jobs:int -> ?trace:Trace.t -> Machine.t -> Program.t -> Stats.t
+(** Allocate one function in place, filling [stats]. Each class is
+    colored by spill-and-rebuild rounds; every round recomputes liveness
+    on the rewritten code (timed as {!Stats.Liveness}) and colors it
+    (timed as {!Stats.Scan}), so coloring never builds lifetimes. [trace]
+    records spill-slot grants, spill/reload insertions and the final
+    color of every temporary (see {!Trace}). [coloring_iterations] and
+    [interference_edges] feed Table 3. *)
+val allocate : ?trace:Trace.t -> Stats.t -> Machine.t -> Func.t -> unit

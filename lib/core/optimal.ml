@@ -1,5 +1,4 @@
 open Lsra_ir
-open Lsra_analysis
 
 (* Exact spill-cost minimisation by branch and bound (ROADMAP item 3).
 
@@ -292,7 +291,6 @@ let emit_solution ctx trace stats =
   let tname id =
     Temp.to_string (Interval.temp (Lifetime.interval_of_id lifetimes id))
   in
-  tr (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func });
   (* Rebuild occupancy from conventions plus the winning assignments. *)
   Array.iter (fun occ -> Bytes.fill occ 0 ctx.npos '\000') ctx.occ;
   for ri = 0 to Regidx.total ctx.regidx - 1 do
@@ -447,110 +445,91 @@ let emit_solution ctx trace stats =
   stats.Stats.slots <- Func.n_slots func
 
 (* The heuristic rungs the incumbent is warm-started from, best-first on
-   ties. Each is run on a scratch copy to measure its true spill cost
-   (resolution moves included); the winner is re-run on the real function
-   when the search cannot strictly beat it, so [Optimal]'s output is
-   never worse than any rung — even where intra-lifetime splitting beats
-   the whole-lifetime model. *)
-let baselines machine :
-    (string * (?trace:Trace.t -> Func.t -> Stats.t)) list =
+   ties, all reading the function's one analysis. Each is run on a
+   scratch copy to measure its true spill cost (resolution moves
+   included); the winner is re-run on the real function when the search
+   cannot strictly beat it, so [Optimal]'s output is never worse than any
+   rung — even where intra-lifetime splitting beats the whole-lifetime
+   model. *)
+type rung = ?trace:Trace.t -> Stats.t -> Func.t -> unit
+
+let baselines analysis : (string * rung) list =
+  let machine = Regidx.machine analysis.Analysis.regidx in
   [
-    ("gc", fun ?trace f -> Coloring.run ?trace machine f);
-    ("binpack", fun ?trace f -> Second_chance.run ?trace machine f);
-    ("twopass", fun ?trace f -> Two_pass.run ?trace machine f);
-    ("poletto", fun ?trace f -> Poletto.run ?trace machine f);
+    ("gc", fun ?trace s f -> Coloring.allocate ?trace s machine f);
+    ( "binpack",
+      fun ?trace s f ->
+        Resolution.run (Binpack.scan ?trace ~analysis ~stats:s machine f) );
+    ("twopass", fun ?trace s f -> Two_pass.allocate ?trace s analysis f);
+    ("poletto", fun ?trace s f -> Poletto.allocate ?trace s analysis f);
   ]
 
-let run_exact ?(opts = default_options) ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Stats.gc_mark () in
+let check_gate opts func =
   if Func.n_instrs func > opts.max_instrs then
     raise
       (Budget_exceeded
          (Printf.sprintf "%s: %d instrs exceeds the size gate (%d)"
-            (Func.name func) (Func.n_instrs func) opts.max_instrs));
-  let incumbent =
-    List.fold_left
-      (fun best ((nm, go) : string * (?trace:Trace.t -> Func.t -> Stats.t)) ->
-        match go (Func.copy func) with
-        | s -> (
-          let c = Stats.total_spill s in
-          match best with
-          | Some (_, bc, _) when bc <= c -> best
-          | _ -> Some (nm, c, go))
-        | exception _ -> best)
-      None (baselines machine)
+            (Func.name func) (Func.n_instrs func) opts.max_instrs))
+
+let allocate ?(opts = default_options) ?trace stats analysis func =
+  let { Analysis.regidx; lifetimes; _ } = analysis in
+  (* Warm starts and search, timed as the scan; the adopted rung times
+     its own phases below. *)
+  let incumbent, ctx, exact_cost =
+    Stats.timed stats Stats.Scan @@ fun () ->
+    let incumbent =
+      List.fold_left
+        (fun best ((nm, go) : string * rung) ->
+          let s = Stats.create () in
+          match go s (Func.copy func) with
+          | () -> (
+            let c = Stats.total_spill s in
+            match best with
+            | Some (_, bc, _) when bc <= c -> best
+            | _ -> Some (nm, c, go))
+          | exception _ -> best)
+        None (baselines analysis)
+    in
+    let linear = Lifetime.linear lifetimes in
+    let npos = Linear.n_positions linear in
+    let ntemps = Func.temp_bound func in
+    let ctx =
+      {
+        func;
+        regidx;
+        lifetimes;
+        npos;
+        occ =
+          Array.init (Regidx.total regidx) (fun _ -> Bytes.make npos '\000');
+        decision = Array.make ntemps d_undecided;
+        spill_cost = count_occurrences func ntemps;
+        nodes = 0;
+        budget = opts.node_budget;
+      }
+    in
+    for ri = 0 to Regidx.total regidx - 1 do
+      Array.iter
+        (fun { Interval.s; e } -> seg_set ctx ri '\001' s e)
+        (Lifetime.reg_busy lifetimes ri)
+    done;
+    let exact_cost =
+      List.fold_left (fun acc cls -> acc + solve_class ctx cls) 0 Rclass.all
+    in
+    (incumbent, ctx, exact_cost)
   in
-  let regidx = Regidx.create machine in
-  let liveness = Liveness.compute func in
-  let loops = Loop.compute (Func.cfg func) in
-  let lifetimes = Lifetime.compute regidx func liveness loops in
-  let linear = Lifetime.linear lifetimes in
-  let npos = Linear.n_positions linear in
-  let ntemps = Func.temp_bound func in
-  let ctx =
-    {
-      func;
-      regidx;
-      lifetimes;
-      npos;
-      occ = Array.init (Regidx.total regidx) (fun _ -> Bytes.make npos '\000');
-      decision = Array.make ntemps d_undecided;
-      spill_cost = count_occurrences func ntemps;
-      nodes = 0;
-      budget = opts.node_budget;
-    }
-  in
-  for ri = 0 to Regidx.total regidx - 1 do
-    Array.iter
-      (fun { Interval.s; e } -> seg_set ctx ri '\001' s e)
-      (Lifetime.reg_busy lifetimes ri)
-  done;
-  let exact_cost =
-    List.fold_left (fun acc cls -> acc + solve_class ctx cls) 0 Rclass.all
-  in
-  let stats =
-    match incumbent with
-    | Some (_, bc, go) when bc <= exact_cost ->
-      (* The best rung is at least as good as the model optimum: adopt
-         its output verbatim (its own trace section stands in for
-         ours). *)
-      go ?trace func
-    | _ ->
-      let stats = Stats.create () in
-      emit_solution ctx trace stats;
-      stats
-  in
+  Trace.begin_fn trace func;
+  (match incumbent with
+  | Some (_, bc, go) when bc <= exact_cost ->
+    (* The best rung is at least as good as the model optimum: adopt its
+       output verbatim (its decisions stand in for ours). *)
+    go ?trace stats func
+  | _ ->
+    Stats.timed stats Stats.Scan (fun () -> emit_solution ctx trace stats));
   stats.Stats.opt_nodes <- ctx.nodes;
-  stats.Stats.opt_proven <- 1;
-  Stats.record_gc_since stats g0;
-  stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
+  stats.Stats.opt_proven <- 1
+
+let run_exact ?(opts = default_options) ?trace machine func =
+  check_gate opts func;
+  let stats = Stats.create () in
+  allocate ~opts ?trace stats (Analysis.build stats machine func) func;
   stats
-
-let run ?(opts = default_options) ?trace machine func =
-  match run_exact ~opts ?trace machine func with
-  | stats -> stats
-  | exception Budget_exceeded _ ->
-    (* Degrade like the service's deadline ladder does, and account for
-       it the same way: a Downgrade event plus a [downgrades] bump, so a
-       fallen-back function can never pose as an exact result. *)
-    (match trace with
-    | None -> ()
-    | Some sink ->
-      Trace.emit sink
-        (Trace.Downgrade
-           {
-             req = Func.name func;
-             from_algo = "optimal";
-             to_algo = "gc";
-             budget = float_of_int opts.node_budget;
-             predicted = float_of_int opts.node_budget;
-           }));
-    let stats = Coloring.run ?trace machine func in
-    stats.Stats.downgrades <- stats.Stats.downgrades + 1;
-    stats
-
-let run_program ?opts ?jobs ?trace machine prog =
-  (* A shared trace sink is not domain-safe: force sequential. *)
-  let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?opts ?trace machine)

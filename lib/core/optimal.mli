@@ -27,11 +27,11 @@
       rung, that rung's own output is adopted verbatim;
     - the search is budgeted ({!options.node_budget} nodes, plus a
       {!options.max_instrs} size gate) and raises {!Budget_exceeded}
-      rather than hanging on oversized functions; {!run} degrades such
-      functions to graph coloring, recording a {!Trace.Downgrade} and a
-      {!Stats.t.downgrades} bump exactly like the service's deadline
-      degradation, so downgraded results can never silently pose as
-      exact. *)
+      rather than hanging on oversized functions; [Allocator.run]
+      degrades such functions to graph coloring, recording a
+      {!Trace.Downgrade} and a {!Stats.t.downgrades} bump exactly like
+      the service's deadline degradation, so downgraded results can never
+      silently pose as exact. *)
 
 open Lsra_ir
 open Lsra_target
@@ -46,29 +46,28 @@ type options = {
 
 val default_options : options
 
-(** Raised by {!run_exact} when the size gate or the node budget trips;
-    the payload says which and at what count. *)
+(** Raised by {!check_gate}, {!allocate} and {!run_exact} when the size
+    gate or the node budget trips; the payload says which and at what
+    count. *)
 exception Budget_exceeded of string
 
-(** Exact allocation, or {!Budget_exceeded}. [Stats.opt_proven] is 1 when
-    the search ran to completion (the result is a proven optimum of the
-    whole-lifetime model and a certified floor under every heuristic);
-    [Stats.opt_nodes] counts nodes explored. *)
+(** Raise {!Budget_exceeded} when the function is over the size gate.
+    Cheap, so callers run it before building any analysis. *)
+val check_gate : options -> Func.t -> unit
+
+(** Exact allocation of one function from its [analysis], filling
+    [stats]; the warm starts read the same analysis. The warm starts and
+    the search are timed as {!Stats.Scan}, and an adopted rung times its
+    own phases. Raises {!Budget_exceeded} when the node budget trips,
+    before [func] or [trace] is touched. [Stats.opt_proven] is set to 1
+    (the result is a proven optimum of the whole-lifetime model and a
+    certified floor under every heuristic) and [Stats.opt_nodes] counts
+    the nodes explored. Does not check the size gate. *)
+val allocate :
+  ?opts:options -> ?trace:Trace.t -> Stats.t -> Analysis.t -> Func.t -> unit
+
+(** {!check_gate}, then {!allocate} over a freshly built analysis: exact
+    allocation or {!Budget_exceeded}, with no fallback and no whole-run
+    timing or GC accounting. *)
 val run_exact :
   ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
-
-(** Like {!run_exact}, but a budget trip degrades to {!Coloring.run} on
-    the untouched function, emitting {!Trace.Downgrade} and bumping
-    [downgrades]. *)
-val run : ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
-
-(** Allocate every function; [jobs] fans out across domains via
-    {!Parallel.fold_stats}. A [trace] sink forces sequential execution
-    regardless of [jobs]. *)
-val run_program :
-  ?opts:options ->
-  ?jobs:int ->
-  ?trace:Trace.t ->
-  Machine.t ->
-  Program.t ->
-  Stats.t

@@ -1,5 +1,4 @@
 open Lsra_ir
-open Lsra_analysis
 open Lsra_target
 
 (* The linear scan of Poletto, Engler and Kaashoek's `C/tcc system, as
@@ -27,11 +26,7 @@ type t = {
 
 let convex_span itv = (Interval.start itv, Interval.stop itv)
 
-let allocate ?trace machine func =
-  let regidx = Regidx.create machine in
-  let liveness = Liveness.compute func in
-  let loops = Loop.compute (Func.cfg func) in
-  let lifetimes = Lifetime.compute regidx func liveness loops in
+let assign ?trace stats { Analysis.regidx; lifetimes; _ } func =
   let ntemps = Func.temp_bound func in
   let t =
     {
@@ -40,7 +35,7 @@ let allocate ?trace machine func =
       lifetimes;
       assignment = Array.make ntemps None;
       slot_of = Array.make ntemps None;
-      stats = Stats.create ();
+      stats;
       trace;
     }
   in
@@ -255,21 +250,6 @@ let rewrite t =
     (Func.cfg func);
   stats.Stats.slots <- Func.n_slots func
 
-let run ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Stats.gc_mark () in
-  (match trace with
-  | None -> ()
-  | Some sink ->
-    Trace.emit sink
-      (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func }));
-  let t = allocate ?trace machine func in
-  rewrite t;
-  Stats.record_gc_since t.stats g0;
-  t.stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
-  t.stats
-
-let run_program ?jobs ?trace machine prog =
-  (* A shared trace sink is not domain-safe: force sequential. *)
-  let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?trace machine)
+let allocate ?trace stats analysis func =
+  Stats.timed stats Stats.Scan (fun () ->
+      rewrite (assign ?trace stats analysis func))

@@ -5,16 +5,11 @@
     family's original point of comparison. *)
 
 open Lsra_ir
-open Lsra_target
 
 exception Out_of_registers of string
 
-(** Allocate one function in place. [trace] records each decision (see
-    {!Trace}); with it absent tracing costs one pointer test per site. *)
-val run : ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
-
-(** Allocate every function; [jobs] fans out across domains via
-    {!Parallel.fold_stats} (default sequential). A [trace] sink forces
-    sequential execution regardless of [jobs]. *)
-val run_program :
-  ?jobs:int -> ?trace:Trace.t -> Machine.t -> Program.t -> Stats.t
+(** Allocate one function in place from its [analysis], timing the scan
+    and the rewrite as the {!Stats.Scan} pass of [stats]. [trace] records
+    each decision (see {!Trace}); with it absent tracing costs one pointer
+    test per site. *)
+val allocate : ?trace:Trace.t -> Stats.t -> Analysis.t -> Func.t -> unit

@@ -120,11 +120,12 @@ let sequentialize (res : Binpack.t) ~trace ~tname ~get_slot ~scratch_for
   List.rev !out
 
 let run ?trace (res : Binpack.t) =
+  let stats = res.Binpack.stats in
+  Stats.timed stats Stats.Resolution @@ fun () ->
   let trace = match trace with Some _ as t -> t | None -> res.Binpack.trace in
   let tr ev = match trace with None -> () | Some t -> Trace.emit t ev in
   let func = res.Binpack.func in
   let cfg = Func.cfg func in
-  let stats = res.Binpack.stats in
   let ntemps = Liveness.width res.Binpack.liveness in
   let bi l = Cfg.block_index cfg l in
   let preds = Cfg.preds_table cfg in

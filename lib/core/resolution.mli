@@ -5,7 +5,8 @@
     where suppressed spill stores must be reinstated. *)
 
 (** Mutates the scanned function; resolution instructions carry the
-    [Resolve] spill tag and are counted into the scan's {!Stats.t}.
+    [Resolve] spill tag and are counted into the scan's {!Stats.t},
+    where the phase is timed as the {!Stats.Resolution} pass.
     Edge repairs are recorded into [trace] (default: the sink the scan
     used, so a traced scan's section continues seamlessly) in emission
     order — an {!Trace.Edge} event followed by its repair code in

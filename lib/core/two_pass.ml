@@ -1,5 +1,4 @@
 open Lsra_ir
-open Lsra_analysis
 
 (* Traditional two-pass binpacking (paper §3.1's comparison baseline, after
    DEC GEM): the first pass walks lifetimes in start order and commits each
@@ -80,15 +79,7 @@ let priority itv =
   done;
   !w /. len
 
-let allocate ?trace machine func =
-  let regidx = Regidx.create machine in
-  let stats = Stats.create () in
-  let liveness = Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func) in
-  let lifetimes =
-    Stats.timed stats Stats.Lifetime (fun () ->
-        let loops = Loop.compute (Func.cfg func) in
-        Lifetime.compute regidx func liveness loops)
-  in
+let pack ?trace stats { Analysis.regidx; lifetimes; _ } func =
   let ntemps = Func.temp_bound func in
   let nregs = Regidx.total regidx in
   let regs = Array.make nregs Occ.empty in
@@ -246,7 +237,7 @@ let allocate ?trace machine func =
       place item;
       drain ()
   in
-  Stats.timed stats Stats.Scan drain;
+  drain ();
   t
 
 (* Second pass: rewrite every reference according to the whole-lifetime
@@ -372,21 +363,6 @@ let rewrite t =
     blocks;
   stats.Stats.slots <- Func.n_slots func
 
-let run ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Stats.gc_mark () in
-  (match trace with
-  | None -> ()
-  | Some sink ->
-    Trace.emit sink
-      (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func }));
-  let t = allocate ?trace machine func in
-  Stats.timed t.stats Stats.Scan (fun () -> rewrite t);
-  Stats.record_gc_since t.stats g0;
-  t.stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
-  t.stats
-
-let run_program ?jobs ?trace machine prog =
-  (* A shared trace sink is not domain-safe: force sequential. *)
-  let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?trace machine)
+let allocate ?trace stats analysis func =
+  Stats.timed stats Stats.Scan (fun () ->
+      rewrite (pack ?trace stats analysis func))

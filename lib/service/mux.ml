@@ -64,11 +64,6 @@ type t = {
   mutable severity : int;
 }
 
-(* A len= larger than this is a protocol violation, not a request: the
-   connection is answered with an ERR and dropped rather than letting a
-   single header commit the server to buffering gigabytes. *)
-let max_body = 64 * 1024 * 1024
-
 let make_conn fd =
   {
     fd;
@@ -257,11 +252,12 @@ let rec parse_conn t c =
           | Ok (Protocol.H_req { id; algo; passes; deadline; body_len }) -> (
             let hdr = { id; algo; passes; deadline } in
             match body_len with
-            | Some need when need > max_body ->
+            | Some need when need > Protocol.max_body ->
+              (* Answered with an ERR and dropped rather than letting a
+                 single header commit the server to buffering gigabytes. *)
               queue_frame c
                 (Protocol.render_err ~id ~code:1
-                   (Printf.sprintf "len=%d exceeds the %d-byte frame cap"
-                      need max_body))
+                   (Protocol.oversized_body need))
                 None;
               poison c
             | Some need ->

@@ -74,6 +74,11 @@ let parse_header line =
   | w :: _ -> Error (Printf.sprintf "unknown frame %S" w)
   | [] -> Error "empty header line"
 
+let max_body = 64 * 1024 * 1024
+
+let oversized_body n =
+  Printf.sprintf "len=%d exceeds the %d-byte frame cap" n max_body
+
 let render_ok (r : Service.response) =
   Printf.sprintf "OK %s cache=%s%s wall-us=%d" r.Service.resp_id
     (if r.Service.cached then "hit" else "cold")

@@ -52,6 +52,16 @@ type header =
 (** Parse one header line (the line that opens a frame). *)
 val parse_header : string -> (header, string) result
 
+(** The largest [len=] a request may declare (64 MiB). A larger one is a
+    protocol violation, not a request: both the blocking loop and the
+    multiplexer answer it with {!oversized_body}'s message and end the
+    session rather than buffer the body. *)
+val max_body : int
+
+(** [oversized_body n] is the error text for a [len=n] over
+    {!max_body}. *)
+val oversized_body : int -> string
+
 (** The [OK] header line {e without} the [len=] field or trailing
     newline — {!render_frame} appends both when given the payload. *)
 val render_ok : Service.response -> string

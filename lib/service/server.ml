@@ -7,6 +7,7 @@ let write_frame oc line payload =
    kept only as the legacy fallback for headers without [len=]. *)
 let read_body ?len ic =
   match len with
+  | Some n when n > Protocol.max_body -> Error (Protocol.oversized_body n)
   | Some n -> (
     match really_input_string ic n with
     | body -> Ok body

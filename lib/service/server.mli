@@ -17,7 +17,7 @@ val write_frame : out_channel -> string -> string option -> unit
     exactly that many bytes — the body may contain any line, including a
     literal [END]. Without [len] the legacy framing applies: lines up to
     the first [END] line. [Error] means the input ended inside the
-    frame. *)
+    frame, or [len] exceeds {!Protocol.max_body} (nothing is read). *)
 val read_body : ?len:int -> in_channel -> (string, string) result
 
 (** Serve one blocking connection: read frames from the input channel

@@ -16,21 +16,22 @@ let machines =
 
 let algorithms =
   [
-    ("second-chance", fun m f -> ignore (Lsra.Second_chance.run m f));
+    ( "second-chance",
+      fun m f -> ignore (Lsra.Allocator.(run default_second_chance) m f) );
     ( "second-chance-conservative",
       fun m f ->
         ignore
-          (Lsra.Second_chance.run
-             ~opts:
-               {
-                 Lsra.Binpack.early_second_chance = true;
-                 move_opt = true;
-                 consistency = Lsra.Binpack.Conservative;
-               }
+          (Lsra.Allocator.run
+             (Lsra.Allocator.Second_chance
+                {
+                  Lsra.Binpack.early_second_chance = true;
+                  move_opt = true;
+                  consistency = Lsra.Binpack.Conservative;
+                })
              m f) );
-    ("coloring", fun m f -> ignore (Lsra.Coloring.run m f));
-    ("two-pass", fun m f -> ignore (Lsra.Two_pass.run m f));
-    ("poletto", fun m f -> ignore (Lsra.Poletto.run m f));
+    ("coloring", fun m f -> ignore (Lsra.Allocator.(run Graph_coloring) m f));
+    ("two-pass", fun m f -> ignore (Lsra.Allocator.(run Two_pass) m f));
+    ("poletto", fun m f -> ignore (Lsra.Allocator.(run Poletto) m f));
   ]
 
 let run_one ~mname machine ~aname alloc seed =

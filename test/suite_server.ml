@@ -175,6 +175,19 @@ let test_len_truncated_by_eof () =
   | [ (Protocol.R_err { id = "cut"; code = 1; _ }, None) ] -> ()
   | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
 
+(* A len= over the frame cap ends the session with one ERR, the same
+   text the multiplexer sends, before any byte of the body is buffered:
+   max_int must not reach [Bytes.create], and 100 MB must not be read. *)
+let test_len_over_cap n () =
+  let sev, out = serve_io (Printf.sprintf "REQ a len=%d\n" n) in
+  Alcotest.(check int) "severity" 0 sev;
+  match parse_replies out with
+  | [ (Protocol.R_err { id = "a"; code = 1; msg }, None) ] ->
+    Alcotest.(check string) "message"
+      (Printf.sprintf "len=%d exceeds the 67108864-byte frame cap" n)
+      msg
+  | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
+
 let test_quit_mid_batch () =
   let a = source ~seed:21 () and b = source ~seed:22 () in
   (* No FLUSH anywhere: QUIT itself must flush the pending batch, in
@@ -476,6 +489,10 @@ let suite =
       test_legacy_missing_end;
     Alcotest.test_case "framing: len= body cut by EOF is ERR" `Quick
       test_len_truncated_by_eof;
+    Alcotest.test_case "framing: len=max_int is ERR, not a crash" `Quick
+      (test_len_over_cap max_int);
+    Alcotest.test_case "framing: len=100000000 is ERR, not read" `Quick
+      (test_len_over_cap 100_000_000);
     Alcotest.test_case "frames: QUIT flushes the pending batch" `Quick
       test_quit_mid_batch;
     Alcotest.test_case "frames: STATS mid-batch flushes first" `Quick

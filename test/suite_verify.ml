@@ -31,7 +31,7 @@ let make_func () =
 let allocated_pair () =
   let f = make_func () in
   let original = Func.copy f in
-  ignore (Lsra.Second_chance.run machine f);
+  ignore (Lsra.Allocator.(run default_second_chance) machine f);
   (original, f)
 
 let expect_reject name original allocated =
@@ -79,7 +79,7 @@ let test_rejects_dropped_spill_store () =
   let machine = Machine.small ~int_regs:3 ~float_regs:3 () in
   let f = Helpers.pressure_func ~width:6 ~iters:4 in
   let original = Func.copy f in
-  ignore (Lsra.Second_chance.run machine f);
+  ignore (Lsra.Allocator.(run default_second_chance) machine f);
   let deleted = ref false in
   Cfg.iter_blocks
     (fun b ->
@@ -107,7 +107,7 @@ let test_rejects_swapped_resolution_moves () =
   let machine = Machine.small ~int_regs:3 ~float_regs:3 () in
   let f = Helpers.pressure_func ~width:6 ~iters:4 in
   let original = Func.copy f in
-  ignore (Lsra.Second_chance.run machine f);
+  ignore (Lsra.Allocator.(run default_second_chance) machine f);
   let changed = ref false in
   Cfg.iter_blocks
     (fun b ->
