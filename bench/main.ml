@@ -15,6 +15,7 @@
 
 open Lsra_ir
 open Lsra_target
+module Corpus = Lsra_workloads.Corpus
 
 let machine = Machine.alpha_like
 
@@ -246,11 +247,7 @@ let table3 () =
         (1e3 *. !bp_stats.Lsra.Stats.time_lifetime)
         (1e3 *. !bp_stats.Lsra.Stats.time_scan)
         (1e3 *. !bp_stats.Lsra.Stats.time_resolution))
-    [
-      Lsra_workloads.Pressure.cvrin;
-      Lsra_workloads.Pressure.twldrv;
-      Lsra_workloads.Pressure.fpppp;
-    ];
+    Corpus.pressure_shapes;
   hrule 90;
   print_endline "sweep: single procedure, growing candidate count";
   hrule 78;
@@ -415,10 +412,7 @@ let frames () =
 " "benchmark" "slots" "compacted"
     "saved";
   hrule 60;
-  let m =
-    Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-      ~float_caller_saved:4 ()
-  in
+  let m = Corpus.small7 in
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
       let prog = Program.copy case.Lsra_workloads.Specbench.program in
@@ -502,33 +496,6 @@ let optgap () =
       ("poletto", Lsra.Allocator.Poletto);
     ]
   in
-  let machines =
-    (* The same register-starved machine the differential fuzzer uses:
-       enough argument registers for the corpus conventions, few enough
-       total for real spill pressure (the alpha rarely spills at all). *)
-    [
-      ("alpha", machine);
-      ( "small-8",
-        Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-          ~float_caller_saved:4 () );
-    ]
-  in
-  let corpus_of m =
-    List.map
-      (fun (case : Lsra_workloads.Specbench.case) ->
-        ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-          case.Lsra_workloads.Specbench.program,
-          case.Lsra_workloads.Specbench.input ))
-      (Lsra_workloads.Specbench.all m ~scale)
-    @ List.filter_map
-        (fun { Lsra_workloads.Mini_corpus.mname; source; minput } ->
-          (* A small machine may not support a program's calling
-             convention; skip those entries there. *)
-          match Lsra_frontend.Minilang.compile m source with
-          | prog -> Some ("mini:" ^ mname, prog, minput)
-          | exception Lsra_frontend.Lower.Error _ -> None)
-        Lsra_workloads.Mini_corpus.all
-  in
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
     "{\n  \"bench\": \"optgap\",\n  \"scale\": %d,\n  \"node_budget\": %d,\n\
@@ -538,13 +505,12 @@ let optgap () =
     (fun mi (mname, m) ->
       if mi > 0 then Buffer.add_string buf ",";
       Printf.printf "optgap on %s (node budget %d):\n" mname node_budget;
-      let cases = corpus_of m in
       (* gaps.(h) collects (heuristic spill - exact spill) per measured
          function, one slot per heuristic, measurement order. *)
       let gaps = Array.make (List.length heuristics) [] in
       let measured = ref 0 and skipped = ref 0 in
       List.iter
-        (fun (_pname, prog, input) ->
+        (fun { Corpus.name = _pname; program = prog; input } ->
           List.iter
             (fun (_fname, f) ->
               match
@@ -584,7 +550,7 @@ let optgap () =
             incr divergences;
             Printf.printf "  DIVERGENCE on %s: %s\n" _pname
               (Lsra_sim.Diffexec.divergence_to_string d))
-        cases;
+        (Corpus.spec m ~scale @ Corpus.mini m);
       Printf.printf
         "  %d function(s) solved to optimality, %d skipped (over budget)\n"
         !measured !skipped;
@@ -636,7 +602,7 @@ let optgap () =
         heuristics;
       Buffer.add_string buf " ] }";
       print_newline ())
-    machines;
+    Corpus.alpha_and_small8;
   Printf.bprintf buf
     "\n  ],\n  \"violations\": %d,\n  \"diffexec_divergences\": %d\n}\n"
     !violations !divergences;
@@ -681,34 +647,7 @@ let jit () =
   end
   else begin
     let allocators =
-      [
-        ("binpack", binpack);
-        ("twopass", Lsra.Allocator.Two_pass);
-        ("poletto", Lsra.Allocator.Poletto);
-        ("gc", coloring);
-      ]
-    in
-    let machines =
-      [
-        ("alpha", machine);
-        ( "small-8",
-          Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-            ~float_caller_saved:4 () );
-      ]
-    in
-    let corpus_of m =
-      List.map
-        (fun (case : Lsra_workloads.Specbench.case) ->
-          ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-            case.Lsra_workloads.Specbench.program,
-            case.Lsra_workloads.Specbench.input ))
-        (Lsra_workloads.Specbench.all m ~scale)
-      @ List.filter_map
-          (fun { Lsra_workloads.Mini_corpus.mname; source; minput } ->
-            match Lsra_frontend.Minilang.compile m source with
-            | prog -> Some ("mini:" ^ mname, prog, minput)
-            | exception Lsra_frontend.Lower.Error _ -> None)
-          Lsra_workloads.Mini_corpus.all
+      [ binpack; Lsra.Allocator.Two_pass; Lsra.Allocator.Poletto; coloring ]
     in
     Printf.bprintf buf
       "{\n  \"bench\": \"jit\",\n  \"available\": true,\n  \"scale\": %d,\n\
@@ -724,94 +663,59 @@ let jit () =
           "speedup";
         Printf.bprintf buf "\n    { \"machine\": %S, \"allocators\": ["
           mname;
-        let cases = corpus_of m in
+        let oks = ref [] in
+        Lsra_sim.Diffexec.sweep_native ~passes:Lsra.Passes.default
+          ~algorithms:allocators [ (mname, m) ]
+          (fun m -> Corpus.spec m ~scale @ Corpus.mini m)
+          (fun c ->
+            match c.Lsra_sim.Diffexec.result with
+            | Lsra_sim.Diffexec.Native_ok r ->
+              oks :=
+                ( c.algorithm,
+                  r.code_bytes,
+                  [| r.alloc_s; r.emit_s; r.interp_s; r.native_s |] )
+                :: !oks
+            | Lsra_sim.Diffexec.Native_skipped _ -> incr skips
+            | Lsra_sim.Diffexec.Native_diverged why ->
+              incr divergences;
+              Printf.printf "  DIVERGENCE %s under %s: %s\n" c.program_name
+                (Lsra.Allocator.short_name c.algorithm)
+                why);
         List.iteri
-          (fun ai (aname, algo) ->
-            let programs = ref 0
-            and alloc_s = ref 0.0
-            and emit_s = ref 0.0
-            and bytes = ref 0
-            and interp_s = ref 0.0
-            and native_s = ref 0.0 in
-            List.iter
-              (fun (pname, prog, input) ->
-                let copy = Program.copy prog in
-                let t0 = Unix.gettimeofday () in
-                ignore
-                  (Lsra.Allocator.pipeline ~precheck:false ~verify:false
-                     algo m copy);
-                let t1 = Unix.gettimeofday () in
-                match Lsra_native.Lower.compile m copy with
-                | Error e ->
-                  incr divergences;
-                  Printf.printf
-                    "  DIVERGENCE %s under %s: emission failed: %s\n" pname
-                    aname e
-                | Ok compiled -> (
-                  let t2 = Unix.gettimeofday () in
-                  match Lsra_sim.Interp.run m copy ~input with
-                  | Error _ ->
-                    (* A post-allocation interpreter trap is an allocator
-                       finding owned by diffcheck, not a native one;
-                       nothing to compare against. *)
-                    incr skips
-                  | Ok expected -> (
-                    let t3 = Unix.gettimeofday () in
-                    let o =
-                      Lsra_native.Exec.run_compiled ~input compiled
-                        ~heap_words:(Program.heap_words prog)
-                    in
-                    let t4 = Unix.gettimeofday () in
-                    let diverge why =
-                      incr divergences;
-                      Printf.printf "  DIVERGENCE %s under %s: %s\n" pname
-                        aname why
-                    in
-                    match o.Lsra_native.Exec.trap with
-                    | Some t -> diverge ("native run trapped: " ^ t)
-                    | None ->
-                      if
-                        o.Lsra_native.Exec.output
-                        <> expected.Lsra_sim.Interp.output
-                      then diverge "output mismatch"
-                      else (
-                        (match expected.Lsra_sim.Interp.ret with
-                        | Lsra_sim.Value.Int k
-                          when k <> o.Lsra_native.Exec.ret ->
-                          diverge "return-value mismatch"
-                        | _ -> ());
-                        incr programs;
-                        alloc_s := !alloc_s +. (t1 -. t0);
-                        emit_s := !emit_s +. (t2 -. t1);
-                        bytes := !bytes + o.Lsra_native.Exec.code_bytes;
-                        interp_s := !interp_s +. (t3 -. t2);
-                        native_s := !native_s +. (t4 -. t3)))))
-              cases;
+          (fun ai algo ->
+            let aname = Lsra.Allocator.short_name algo in
+            let runs = List.filter (fun (a, _, _) -> a = algo) !oks in
+            let programs = List.length runs in
+            let bytes = List.fold_left (fun acc (_, b, _) -> acc + b) 0 runs in
+            let wall k =
+              List.fold_left (fun acc (_, _, w) -> acc +. w.(k)) 0. runs
+            in
+            let alloc_s = wall 0 and emit_s = wall 1 in
+            let interp_s = wall 2 and native_s = wall 3 in
             let mb_s =
-              if !emit_s > 0.0 then
-                float_of_int !bytes /. !emit_s /. 1.0e6
+              if emit_s > 0.0 then float_of_int bytes /. emit_s /. 1.0e6
               else 0.0
             in
             let speedup =
-              if !native_s > 0.0 then !interp_s /. !native_s else 0.0
+              if native_s > 0.0 then interp_s /. native_s else 0.0
             in
             Printf.printf
               "  %-10s %10.2f %10.2f %12.1f %10.2f %10.2f %7.1fx\n" aname
-              (!alloc_s *. 1e3) (!emit_s *. 1e3) mb_s (!interp_s *. 1e3)
-              (!native_s *. 1e3) speedup;
+              (alloc_s *. 1e3) (emit_s *. 1e3) mb_s (interp_s *. 1e3)
+              (native_s *. 1e3) speedup;
             if ai > 0 then Buffer.add_string buf ",";
             Printf.bprintf buf
               "\n        { \"name\": %S, \"programs\": %d, \"alloc_ms\": \
                %.3f, \"emit_ms\": %.3f,\n\
               \          \"code_bytes\": %d, \"emit_mb_per_s\": %.1f, \
                \"interp_ms\": %.3f, \"native_ms\": %.3f,\n\
-              \          \"native_speedup\": %.2f }" aname !programs
-              (!alloc_s *. 1e3) (!emit_s *. 1e3) !bytes mb_s
-              (!interp_s *. 1e3) (!native_s *. 1e3) speedup)
+              \          \"native_speedup\": %.2f }" aname programs
+              (alloc_s *. 1e3) (emit_s *. 1e3) bytes mb_s
+              (interp_s *. 1e3) (native_s *. 1e3) speedup)
           allocators;
         Buffer.add_string buf " ] }";
         print_newline ())
-      machines;
+      Corpus.alpha_and_small8;
     Printf.bprintf buf
       "\n  ],\n  \"skipped\": %d,\n  \"divergences\": %d\n}\n" !skips
       !divergences;
@@ -883,22 +787,7 @@ let bechamel () =
    against the sequential one — any divergence is a determinism bug and
    exits 4. *)
 let perfdump () =
-  let workloads =
-    List.map
-      (fun shape ->
-        ( "pressure:" ^ shape.Lsra_workloads.Pressure.sname,
-          Lsra_workloads.Pressure.build machine shape ))
-      [
-        Lsra_workloads.Pressure.cvrin;
-        Lsra_workloads.Pressure.twldrv;
-        Lsra_workloads.Pressure.fpppp;
-      ]
-    @ List.map
-        (fun (case : Lsra_workloads.Specbench.case) ->
-          ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-            case.Lsra_workloads.Specbench.program ))
-        (cases ())
-  in
+  let workloads = Corpus.pressure machine @ Corpus.spec machine ~scale in
   let job_counts = if jobs > 1 then [ 1; jobs ] else [ 1 ] in
   let algos = Lsra.Allocator.all in
   let buf = Buffer.create 4096 in
@@ -990,7 +879,7 @@ let perfdump () =
       (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs))
   in
   List.iteri
-    (fun i (name, prog) ->
+    (fun i { Corpus.name; program = prog; input = _ } ->
       let funcs = Program.funcs prog in
       let n_instrs =
         List.fold_left (fun acc (_, f) -> acc + Func.n_instrs f) 0 funcs
@@ -1052,28 +941,21 @@ let perfdump () =
    downgrade count and throughput into BENCH_service.json, and
    spot-checks a sample of warm responses against a direct
    [Allocator.pipeline] run (byte-identical or exit 4). *)
-let service_corpus () =
+
+(* Every corpus entry as a request body — the benchmarks, the pressure
+   modules, then the Minilang programs — with the output a direct
+   binpack pipeline run of that body gives, which every served response
+   must match byte for byte. *)
+let requests_with_expected () =
   List.map
-    (fun (case : Lsra_workloads.Specbench.case) ->
-      ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-        Lsra_text.Ir_text.to_string case.Lsra_workloads.Specbench.program ))
-    (cases ())
-  @ List.map
-      (fun shape ->
-        ( "pressure:" ^ shape.Lsra_workloads.Pressure.sname,
-          Lsra_text.Ir_text.to_string
-            (Lsra_workloads.Pressure.build machine shape) ))
-      [
-        Lsra_workloads.Pressure.cvrin;
-        Lsra_workloads.Pressure.twldrv;
-        Lsra_workloads.Pressure.fpppp;
-      ]
-  @ List.filter_map
-      (fun { Lsra_workloads.Mini_corpus.mname; source; minput = _ } ->
-        match Lsra_frontend.Minilang.compile machine source with
-        | prog -> Some ("mini:" ^ mname, Lsra_text.Ir_text.to_string prog)
-        | exception Lsra_frontend.Lower.Error _ -> None)
-      Lsra_workloads.Mini_corpus.all
+    (fun { Corpus.name; program; input = _ } ->
+      let source = Lsra_text.Ir_text.to_string program in
+      let prog = Lsra_text.Ir_text.of_string source in
+      ignore
+        (Lsra.Allocator.pipeline ~passes:Lsra.Passes.default binpack machine
+           prog);
+      (name, source, Lsra_text.Ir_text.to_string prog))
+    (Corpus.spec machine ~scale @ Corpus.pressure machine @ Corpus.mini machine)
 
 let pct a p =
   if Array.length a = 0 then 0.
@@ -1081,8 +963,8 @@ let pct a p =
 
 let service_inproc () =
   let passes = Lsra.Passes.default in
-  let corpus_sources = service_corpus () in
-  let n = List.length corpus_sources in
+  let corpus = requests_with_expected () in
+  let n = List.length corpus in
   let cfg =
     {
       (Lsra_service.Service.default_config machine) with
@@ -1093,10 +975,10 @@ let service_inproc () =
   let sched = Lsra_service.Scheduler.create ~capacity:32 ~jobs svc in
   let requests tag ?deadline algo =
     List.map
-      (fun (name, source) ->
+      (fun (name, source, _) ->
         Lsra_service.Service.request ~algo ~passes ?deadline
           ~id:(tag ^ ":" ^ name) source)
-      corpus_sources
+      corpus
   in
   let replay tag ?deadline algo =
     let t0 = Unix.gettimeofday () in
@@ -1125,7 +1007,6 @@ let service_inproc () =
     Array.sort compare a;
     a
   in
-  let binpack = Lsra.Allocator.default_second_chance in
   let cold, cold_wall = replay "cold" binpack in
   let after_cold = Lsra_service.Service.counters svc in
   let warm, warm_wall = replay "warm" binpack in
@@ -1150,16 +1031,13 @@ let service_inproc () =
      to a direct pipeline run of the same source under the same config. *)
   let spot_divergences = ref 0 in
   List.iter2
-    (fun (name, source) (r : Lsra_service.Service.response) ->
-      let prog = Lsra_text.Ir_text.of_string source in
-      ignore (Lsra.Allocator.pipeline ~passes binpack machine prog);
-      let direct = Lsra_text.Ir_text.to_string prog in
+    (fun (name, _, direct) (r : Lsra_service.Service.response) ->
       if not (String.equal direct r.Lsra_service.Service.output) then begin
         incr spot_divergences;
         Printf.eprintf "bench service: DIVERGENCE on %s (served != direct)\n%!"
           name
       end)
-    corpus_sources warm;
+    corpus warm;
   let cold_lat = latencies cold and warm_lat = latencies warm in
   let final = Lsra_service.Service.counters svc in
   let c = final.Lsra_service.Service.cache in
@@ -1241,16 +1119,7 @@ let connect_retry fd path =
    payload is byte-diffed against a direct [Allocator.pipeline] run
    (zero-divergence gate). *)
 let service_clients k =
-  let passes = Lsra.Passes.default in
-  let binpack = Lsra.Allocator.default_second_chance in
-  let entries =
-    List.map
-      (fun (name, source) ->
-        let prog = Lsra_text.Ir_text.of_string source in
-        ignore (Lsra.Allocator.pipeline ~passes binpack machine prog);
-        (name, source, Lsra_text.Ir_text.to_string prog))
-      (service_corpus ())
-  in
+  let entries = requests_with_expected () in
   let n = List.length entries in
   let tmp =
     Filename.concat
@@ -1454,62 +1323,12 @@ let service () =
 
 (* ------------------------------------------------------------------ *)
 
-(* With LSRA_FUZZ_ARTIFACT_DIR set, every divergence leaves durable
-   artifacts there: the shrunk reproducer as textual IR, plus the
-   diverging allocator's decision trace over that reproducer in both
-   renderings (so a CI failure can be diagnosed from the uploaded
-   artifacts alone, without re-running the seed). *)
-let write_fuzz_artifacts dir reports =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
-  List.iter
-    (fun r ->
-      let stem =
-        Printf.sprintf "%s/seed%d_%s_%s" dir r.Lsra_sim.Diffexec.seed
-          r.Lsra_sim.Diffexec.machine_name r.Lsra_sim.Diffexec.algorithm
-      in
-      write (stem ^ ".lsra") r.Lsra_sim.Diffexec.reproducer;
-      let m =
-        List.assoc_opt r.Lsra_sim.Diffexec.machine_name
-          Lsra_sim.Diffexec.default_fuzz_machines
-      in
-      let algo =
-        List.find_opt
-          (fun a ->
-            Lsra.Allocator.short_name a = r.Lsra_sim.Diffexec.algorithm)
-          Lsra.Allocator.all
-      in
-      match m, algo with
-      | Some m, Some algo -> (
-        try
-          let prog =
-            Lsra_text.Ir_text.of_string r.Lsra_sim.Diffexec.reproducer
-          in
-          let trace = Lsra.Trace.create () in
-          ignore (Lsra.Allocator.run_program ~trace algo m prog);
-          let events = Lsra.Trace.events trace in
-          write (stem ^ ".trace.txt") (Lsra.Trace.to_text events);
-          write (stem ^ ".trace.jsonl") (Lsra.Trace.to_jsonl events)
-        with e ->
-          (* e.g. the divergence is the allocator crashing: record that
-             instead of a trace *)
-          write (stem ^ ".trace.txt")
-            ("no trace: allocation failed with " ^ Printexc.to_string e ^ "\n"))
-      | _ ->
-        write (stem ^ ".trace.txt")
-          "no trace: unknown machine or allocator name\n")
-    reports;
-  Printf.printf "fuzz: wrote %d reproducer(s) + trace(s) under %s\n%!"
-    (List.length reports) dir
-
 (* Differential fuzz run: seeded random programs through every allocator
-   on every fuzz machine, divergences shrunk to minimal reproducers.
-   `fuzz [COUNT] [BASE]` checks seeds BASE..BASE+COUNT-1 (default 100
-   from 0) — a fixed seed set, so CI runs are reproducible. *)
+   on every fuzz machine, divergences shrunk to minimal reproducers (and
+   written with their decision traces under LSRA_FUZZ_ARTIFACT_DIR when
+   set). `fuzz [COUNT] [BASE]` checks seeds BASE..BASE+COUNT-1 (default
+   100 from 0) — a fixed seed set, so CI runs are reproducible. Exits 4
+   on a behavioral divergence, 3 when only the verifier rejected. *)
 let fuzz () =
   let argv_int pos ~default ~what =
     if Array.length Sys.argv <= pos then default
@@ -1527,24 +1346,28 @@ let fuzz () =
   Printf.printf
     "diffexec fuzz: seeds %d..%d, %d machines x %d allocators\n%!" base
     (base + count - 1)
-    (List.length Lsra_sim.Diffexec.default_fuzz_machines)
+    (List.length Corpus.fuzz_machines)
     (List.length Lsra.Allocator.all);
   let t0 = Unix.gettimeofday () in
-  let reports =
-    Lsra_sim.Diffexec.fuzz ~log:(Printf.printf "  %s\n%!") ~seeds ()
-  in
+  let found = ref [] in
+  Lsra_sim.Diffexec.sweep ~algorithms:Lsra.Allocator.all Corpus.fuzz_machines
+    (fun m -> List.map (fun seed -> Corpus.fuzz m ~seed) seeds)
+    (fun c ->
+      match c.Lsra_sim.Diffexec.result with
+      | Ok _ -> ()
+      | Error f ->
+        found := f.divergence :: !found;
+        Printf.printf "%s\n%!"
+          (Lsra_sim.Diffexec.finding_to_string { c with result = f }));
   Printf.printf "fuzz: %d seeds in %.1fs, %d divergences\n%!" count
     (Unix.gettimeofday () -. t0)
-    (List.length reports);
-  List.iter
-    (fun r ->
-      print_newline ();
-      print_endline (Lsra_sim.Diffexec.pp_fuzz_report r))
-    reports;
-  (match Sys.getenv_opt "LSRA_FUZZ_ARTIFACT_DIR" with
-  | Some dir when reports <> [] -> write_fuzz_artifacts dir reports
-  | Some _ | None -> ());
-  if reports <> [] then exit 1
+    (List.length !found);
+  if
+    List.exists
+      (fun d -> not (Lsra_sim.Diffexec.is_verifier_reject d))
+      !found
+  then exit 4
+  else if !found <> [] then exit 3
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

@@ -10,6 +10,7 @@
 open Lsra_ir
 open Lsra_target
 open Cmdliner
+module Corpus = Lsra_workloads.Corpus
 
 let read_input = function
   | "-" -> In_channel.input_all stdin
@@ -334,34 +335,22 @@ let exec_cmd =
       $ passes_arg ~default:Lsra.Passes.default
       $ no_cleanup_arg)
 
-(* The whole built-in corpus, as (name, program, input) triples: the
-   eleven synthetic benchmarks, the Minilang corpus through the frontend,
-   and the Table-3 pressure modules. *)
-let corpus machine ~scale =
+(* The corpus sweeps run the exact allocator under a tight node budget:
+   small functions are proven optimal, the rest take the budget-downgrade
+   path — both paths covered without the full search on every corpus
+   function (bench optgap does that). *)
+let sweep_allocators =
   List.map
-    (fun (case : Lsra_workloads.Specbench.case) ->
-      ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-        case.Lsra_workloads.Specbench.program,
-        case.Lsra_workloads.Specbench.input ))
-    (Lsra_workloads.Specbench.all machine ~scale)
-  @ List.filter_map
-      (fun { Lsra_workloads.Mini_corpus.mname; source; minput } ->
-        (* A small machine may not support a program's calling convention
-           (e.g. too few argument registers); skip those entries there. *)
-        match Lsra_frontend.Minilang.compile machine source with
-        | prog -> Some ("mini:" ^ mname, prog, minput)
-        | exception Lsra_frontend.Lower.Error _ -> None)
-      Lsra_workloads.Mini_corpus.all
-  @ List.map
-      (fun shape ->
-        ( "pressure:" ^ shape.Lsra_workloads.Pressure.sname,
-          Lsra_workloads.Pressure.build machine shape,
-          "" ))
-      [
-        Lsra_workloads.Pressure.cvrin;
-        Lsra_workloads.Pressure.twldrv;
-        Lsra_workloads.Pressure.fpppp;
-      ]
+    (function
+      | Lsra.Allocator.Optimal o ->
+        Lsra.Allocator.Optimal { o with Lsra.Optimal.node_budget = 2_000 }
+      | a -> a)
+    Lsra.Allocator.all
+
+let scale_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "scale" ] ~docv:"N" ~doc:"Corpus workload scale factor.")
 
 let diffcheck_cmd =
   let file_arg =
@@ -373,112 +362,44 @@ let diffcheck_cmd =
             "Program to check ('-' for stdin). Without it, the built-in \
              corpus (specbench + Minilang + pressure modules) is checked.")
   in
-  let scale_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "scale" ] ~docv:"N" ~doc:"Corpus workload scale factor.")
-  in
-  (* With LSRA_DIFF_ARTIFACT_DIR set, every divergence leaves its shrunk
-     reproducer there as textual IR, mirroring the fuzz-artifact
-     convention, so a CI failure can be diagnosed from the upload alone. *)
-  let artifact_dir = Sys.getenv_opt "LSRA_DIFF_ARTIFACT_DIR" in
-  let write_artifact ~pname ~mname ~algo text =
-    match artifact_dir with
-    | None -> ()
-    | Some dir ->
-      (try Unix.mkdir dir 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let sanitize s =
-        String.map
-          (fun c ->
-            match c with
-            | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-            | _ -> '-')
-          s
-      in
-      let path =
-        Printf.sprintf "%s/%s_%s_%s.lsra" dir (sanitize pname)
-          (sanitize mname) (sanitize algo)
-      in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc text);
-      Printf.eprintf "  reproducer written to %s\n%!" path
-  in
   let run file machine input fuel scale passes no_cleanup =
     handle_errors (fun () ->
         let passes = resolve_passes passes no_cleanup in
-        let jobs =
+        let machines, programs =
           match file with
-          | Some f -> [ (machine, [ ("file:" ^ f, load f, input) ]) ]
+          | Some f ->
+            let file = { Corpus.name = "file:" ^ f; program = load f; input } in
+            ([ machine ], fun _ -> [ file ])
           | None ->
             (* The given machine, plus a spill-heavy one so the oracle
                exercises eviction and resolution, not just renaming. *)
-            let small7 =
-              Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-                ~float_caller_saved:4 ()
-            in
-            [
-              (machine, corpus machine ~scale);
-              (small7, corpus small7 ~scale);
-            ]
+            ([ machine; Corpus.small7 ], Corpus.builtin ~scale)
         in
         let checks = ref 0 and behavioral = ref 0 and rejects = ref 0 in
         let frame_saved = ref 0 in
-        (* The exact allocator joins the sweep under a tight node
-           budget: small functions are proven optimal, the rest take
-           the budget-downgrade path — both paths covered without the
-           full search on every corpus function (bench optgap does
-           that). *)
-        let allocators =
-          List.map
-            (function
-              | Lsra.Allocator.Optimal o ->
-                Lsra.Allocator.Optimal
-                  { o with Lsra.Optimal.node_budget = 2_000 }
-              | a -> a)
-            Lsra.Allocator.all
-        in
         List.iter
-          (fun (m, programs) ->
-            let mname = Machine.name m in
+          (fun m ->
             let m_saved = ref 0 in
-            List.iter
-              (fun (pname, prog, inp) ->
-                List.iter
-                  (fun algo ->
-                    incr checks;
-                    match
-                      Lsra_sim.Diffexec.check_pipeline ~fuel ~input:inp
-                        ~passes m algo prog
-                    with
-                    | Ok stats ->
-                      m_saved := !m_saved + stats.Lsra.Stats.frame_saved
-                    | Error d ->
-                      if Lsra_sim.Diffexec.is_verifier_reject d then
-                        incr rejects
-                      else incr behavioral;
-                      Printf.eprintf "DIVERGENCE %s on %s under %s: %s\n%!"
-                        pname mname
-                        (Lsra.Allocator.short_name algo)
-                        (Lsra_sim.Diffexec.divergence_to_string d);
-                      (* Minimise with the same full-pipeline oracle and
-                         dump the reproducer, as the fuzzer would. *)
-                      let small =
-                        Lsra_sim.Diffexec.shrink_pipeline ~input:inp ~passes
-                          m algo prog
-                      in
-                      let text = Lsra_text.Ir_text.to_string small in
-                      Printf.eprintf "minimal reproducer:\n%s%!" text;
-                      write_artifact ~pname ~mname
-                        ~algo:(Lsra.Allocator.short_name algo)
-                        text)
-                  allocators)
-              programs;
+            Lsra_sim.Diffexec.sweep ~fuel ~passes ~algorithms:sweep_allocators
+              [ (Machine.name m, m) ]
+              programs
+              (fun c ->
+                incr checks;
+                match c.Lsra_sim.Diffexec.result with
+                | Ok stats ->
+                  m_saved := !m_saved + stats.Lsra.Stats.frame_saved
+                | Error f ->
+                  let report = { c with result = f } in
+                  if Lsra_sim.Diffexec.is_verifier_reject f.divergence then
+                    incr rejects
+                  else incr behavioral;
+                  Printf.eprintf "%s%!"
+                    (Lsra_sim.Diffexec.finding_to_string report));
             if !m_saved > 0 then
               Printf.printf "diffcheck: %s: %d frame words saved by slots\n"
-                mname !m_saved;
+                (Machine.name m) !m_saved;
             frame_saved := !frame_saved + !m_saved)
-          jobs;
+          machines;
         Printf.printf
           "diffcheck: %d checks (passes: %s), %d divergences (%d verifier \
            rejects), %d frame words saved\n"
@@ -539,11 +460,6 @@ let jit_cmd =
             "Print the annotated listing of the emitted machine code \
              (works on any host; execution still requires x86-64).")
   in
-  let scale_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "scale" ] ~docv:"N" ~doc:"Corpus workload scale factor.")
-  in
   let seeds_arg =
     Arg.(
       value & opt int 4
@@ -596,76 +512,38 @@ let jit_cmd =
              spill-heavy one, and hostile generated programs, through
              every allocator — each compared against the interpreter by
              the native oracle. Divergences gate the exit code at 4. *)
-          if not (Lsra_sim.Diffexec.native_available ()) then (
+          if not (Lsra_native.Exec.available ()) then (
             Printf.printf
               "jit: native execution unavailable on this host (not \
                x86-64); nothing checked\n";
             exit 0);
-          let small7 =
-            Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-              ~float_caller_saved:4 ()
-          in
-          let hostile m =
-            List.init seeds (fun i ->
-                let params =
-                  Lsra_workloads.Gen.hostile_params ~seed:(1000 + i)
-                in
-                ( Printf.sprintf "hostile:%d" (1000 + i),
-                  Lsra_workloads.Gen.program ~params m,
-                  "" ))
-          in
-          let jobs =
-            [
-              (machine, corpus machine ~scale @ hostile machine);
-              (small7, corpus small7 ~scale @ hostile small7);
-            ]
-          in
-          let allocators =
-            List.map
-              (function
-                | Lsra.Allocator.Optimal o ->
-                  Lsra.Allocator.Optimal
-                    { o with Lsra.Optimal.node_budget = 2_000 }
-                | a -> a)
-              Lsra.Allocator.all
-          in
           let checks = ref 0
           and ok = ref 0
           and skipped = ref 0
           and diverged = ref 0
           and bytes = ref 0 in
           let skip_reasons : (string, int) Hashtbl.t = Hashtbl.create 8 in
-          List.iter
-            (fun (m, programs) ->
-              let mname = Machine.name m in
-              List.iter
-                (fun (pname, prog, inp) ->
-                  List.iter
-                    (fun a ->
-                      incr checks;
-                      match
-                        Lsra_sim.Diffexec.check_native ~fuel ~input:inp
-                          ~passes m a prog
-                      with
-                      | Lsra_sim.Diffexec.Native_ok { code_bytes } ->
-                        incr ok;
-                        bytes := !bytes + code_bytes
-                      | Lsra_sim.Diffexec.Native_skipped why ->
-                        incr skipped;
-                        Hashtbl.replace skip_reasons why
-                          (1
-                          + Option.value ~default:0
-                              (Hashtbl.find_opt skip_reasons why))
-                      | Lsra_sim.Diffexec.Native_diverged why ->
-                        incr diverged;
-                        Printf.eprintf
-                          "NATIVE DIVERGENCE %s on %s under %s: %s\n%!"
-                          pname mname
-                          (Lsra.Allocator.short_name a)
-                          why)
-                    allocators)
-                programs)
-            jobs;
+          Lsra_sim.Diffexec.sweep_native ~fuel ~passes
+            ~algorithms:sweep_allocators
+            (List.map (fun m -> (Machine.name m, m)) [ machine; Corpus.small7 ])
+            (fun m -> Corpus.builtin m ~scale @ Corpus.hostile m ~count:seeds)
+            (fun c ->
+              incr checks;
+              match c.Lsra_sim.Diffexec.result with
+              | Lsra_sim.Diffexec.Native_ok { code_bytes; _ } ->
+                incr ok;
+                bytes := !bytes + code_bytes
+              | Lsra_sim.Diffexec.Native_skipped why ->
+                incr skipped;
+                let seen = Hashtbl.find_opt skip_reasons why in
+                Hashtbl.replace skip_reasons why
+                  (1 + Option.value ~default:0 seen)
+              | Lsra_sim.Diffexec.Native_diverged why ->
+                incr diverged;
+                Printf.eprintf "NATIVE DIVERGENCE %s on %s under %s: %s\n%!"
+                  c.program_name c.machine_name
+                  (Lsra.Allocator.short_name c.algorithm)
+                  why);
           Printf.printf
             "jit: %d checks (passes: %s), %d native runs ok (%d bytes \
              emitted), %d skipped, %d divergences\n"

@@ -8,8 +8,8 @@ open Lsra_target
    divergence pins an allocator bug to a concrete execution, which is a
    strictly stronger (if slower) oracle than the abstract verifier.
 
-   The fuzzing half drives seeded random programs from Gen through every
-   allocator and, on a divergence, shrinks the program — deleting
+   The sweep half drives machines × programs × allocators through the
+   oracle and, on a divergence, shrinks the program — deleting
    instructions and straightening branches while the failure persists —
    to a minimal textual reproducer. *)
 
@@ -53,8 +53,6 @@ let rec is_verifier_reject = function
 
 type alloc_fn = Machine.t -> Func.t -> unit
 
-let alloc_of algo machine func = ignore (Lsra.Allocator.run algo machine func)
-
 exception Stop of divergence
 
 (* Allocate under a decision trace and replay-check the stream against
@@ -82,73 +80,19 @@ let traced_alloc_of algo machine func =
   | Ok () -> ()
   | Error e -> raise (Stop (Trace_mismatch (ctx "event stream" e)))
 
-let check_with ?(fuel = 200_000_000) ?(verify = true) ?(input = "") machine
-    (alloc : alloc_fn) prog =
-  match Interp.run ~fuel machine prog ~input with
-  | Error e -> Error (Reference_trap e)
-  | Ok reference -> (
-    let copy = Program.copy prog in
-    try
-      List.iter
-        (fun (_, f) ->
-          let original = if verify then Some (Func.copy f) else None in
-          (try alloc machine f with
-          | Stop _ as stop -> raise stop
-          | e -> raise (Stop (Allocator_raise (Printexc.to_string e))));
-          match original with
-          | None -> ()
-          | Some original -> (
-            match Lsra.Verify.check machine ~original ~allocated:f with
-            | Ok () -> ()
-            | Error e -> raise (Stop (Verifier_reject e))))
-        (Program.funcs copy);
-      match Interp.run ~fuel machine copy ~input with
-      | Error e -> Error (Allocated_trap e)
-      | Ok actual ->
-        if reference.Interp.output <> actual.Interp.output then
-          Error
-            (Output_mismatch
-               {
-                 expected = reference.Interp.output;
-                 actual = actual.Interp.output;
-               })
-        else if
-          reference.Interp.ret <> Value.Undef
-          && not (Value.equal reference.Interp.ret actual.Interp.ret)
-          (* an undefined reference return refines to anything: the
-             program never promised a value there *)
-        then
-          Error
-            (Ret_mismatch
-               { expected = reference.Interp.ret; actual = actual.Interp.ret })
-        else Ok ()
-    with Stop d -> Error d)
-
-let check ?fuel ?verify ?input ?(trace_check = true) machine algo prog =
-  let alloc = if trace_check then traced_alloc_of algo else alloc_of algo in
-  check_with ?fuel ?verify ?input machine alloc prog
-
-let check_all ?fuel ?verify ?input ?(algorithms = Lsra.Allocator.all) machine
-    prog =
-  List.filter_map
-    (fun algo ->
-      match check ?fuel ?verify ?input machine algo prog with
-      | Ok () -> None
-      | Error d -> Some (Lsra.Allocator.short_name algo, d))
-    algorithms
-
 (* ------------------------------------------------------------------ *)
 (* Full-pipeline oracle                                                *)
 
-(* The oracle sandwich over the whole managed pipeline: interpret the
-   program once for reference, then re-interpret (and re-verify) after
-   every pass — the pre-allocation passes, the allocation itself, and
-   each post-allocation cleanup. A divergence introduced by a cleanup
-   pass is pinned to that pass by name, so "Motion broke this program"
-   and "the allocator broke this program" are distinct findings. *)
-let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
-    ?(passes = Lsra.Passes.all) ?(trace_check = true) machine algo prog =
-  match Interp.run ~fuel machine prog ~input with
+(* The oracle sandwich over the whole managed pipeline, against an
+   already-interpreted reference run: re-interpret (and re-verify) after
+   every pass — the pre-allocation passes, the allocation itself ([alloc]
+   on every function), and each post-allocation cleanup. A divergence
+   introduced by a cleanup pass is pinned to that pass by name, so
+   "Motion broke this program" and "the allocator broke this program"
+   are distinct findings. *)
+let pipeline_against ~fuel ~verify ~input ~passes ~(alloc : alloc_fn) machine
+    prog reference =
+  match reference with
   | Error e -> Error (Reference_trap e)
   | Ok reference -> (
     let copy = Program.copy prog in
@@ -163,31 +107,25 @@ let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
         Pass_divergence { pass = Lsra.Passes.name p; underlying = d }
     in
     let compare_run pass =
+      let fail d = raise (Stop (wrap pass d)) in
       match Interp.run ~fuel machine copy ~input with
-      | Error e -> raise (Stop (wrap pass (Allocated_trap e)))
+      | Error e -> fail (Allocated_trap e)
       | Ok actual ->
         if reference.Interp.output <> actual.Interp.output then
-          raise
-            (Stop
-               (wrap pass
-                  (Output_mismatch
-                     {
-                       expected = reference.Interp.output;
-                       actual = actual.Interp.output;
-                     })))
+          fail
+            (Output_mismatch
+               {
+                 expected = reference.Interp.output;
+                 actual = actual.Interp.output;
+               })
         else if
           reference.Interp.ret <> Value.Undef
           && not (Value.equal reference.Interp.ret actual.Interp.ret)
           (* undefined reference return: any refinement is acceptable *)
         then
-          raise
-            (Stop
-               (wrap pass
-                  (Ret_mismatch
-                     {
-                       expected = reference.Interp.ret;
-                       actual = actual.Interp.ret;
-                     })))
+          fail
+            (Ret_mismatch
+               { expected = reference.Interp.ret; actual = actual.Interp.ret })
     in
     let originals = ref [] in
     let verify_all pass =
@@ -211,7 +149,6 @@ let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
       if verify then
         originals :=
           List.map (fun (n, f) -> (n, Func.copy f)) (Program.funcs copy);
-      let alloc = if trace_check then traced_alloc_of algo else alloc_of algo in
       List.iter
         (fun (_, f) ->
           try alloc machine f with
@@ -229,24 +166,46 @@ let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
       Ok stats
     with Stop d -> Error d)
 
+let check_with ?(fuel = 200_000_000) ?(verify = true) ?(input = "") machine
+    alloc prog =
+  Result.map ignore
+    (pipeline_against ~fuel ~verify ~input ~passes:[] ~alloc machine prog
+       (Interp.run ~fuel machine prog ~input))
+
+let check ?verify ?input machine algo prog =
+  check_with ?verify ?input machine (traced_alloc_of algo) prog
+
+let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
+    ?(passes = Lsra.Passes.all) machine algo prog =
+  pipeline_against ~fuel ~verify ~input ~passes ~alloc:(traced_alloc_of algo)
+    machine prog
+    (Interp.run ~fuel machine prog ~input)
+
 (* ------------------------------------------------------------------ *)
 (* Native cross-check                                                  *)
 
 type native_status =
-  | Native_ok of { code_bytes : int }
+  | Native_ok of {
+      code_bytes : int;
+      alloc_s : float;
+      emit_s : float;
+      interp_s : float;
+      native_s : float;
+    }
   | Native_skipped of string
-      (** nothing to compare: non-x86-64 host, a trapping reference run
-          (native semantics are only pinned on interpreter-clean
-          executions), or an interpreter-level divergence that the
-          ordinary oracle owns *)
   | Native_diverged of string
-
-let native_available () = Lsra_native.Exec.available ()
 
 let truncated s =
   if String.length s <= 160 then s else String.sub s 0 160 ^ "…"
 
-(* The native oracle sandwich: interpret the program before allocation,
+exception Verdict of native_status
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* The native oracle sandwich against a (lazily) interpreted reference:
    allocate through the managed pipeline, re-interpret, then emit and
    execute real x86-64 — and require the machine's observables (ext
    output bytes and the integer return register) to match the
@@ -254,67 +213,69 @@ let truncated s =
    interpreter runs being clean and agreeing: trapping or diverging
    programs are the ordinary {!check_pipeline} oracle's findings, not
    the encoder's. *)
+let native_against ~fuel ~input ~passes machine algo prog reference =
+  let skip why = raise (Verdict (Native_skipped why)) in
+  let diverge why = raise (Verdict (Native_diverged why)) in
+  try
+    if not (Lsra_native.Exec.available ()) then skip "host is not x86-64";
+    let reference =
+      match Lazy.force reference with
+      | Error e -> skip ("reference run traps: " ^ e)
+      | Ok r -> r
+    in
+    let copy = Program.copy prog in
+    let (), alloc_s =
+      timed (fun () ->
+          try
+            ignore
+              (Lsra.Allocator.pipeline ~precheck:false ~verify:false ~passes
+                 algo machine copy)
+          with e -> skip ("allocator raised: " ^ Printexc.to_string e))
+    in
+    let expected, interp_s =
+      timed (fun () ->
+          match Interp.run ~fuel machine copy ~input with
+          | Error e -> skip ("allocated run traps: " ^ e)
+          | Ok o -> o)
+    in
+    if reference.Interp.output <> expected.Interp.output then
+      skip "interpreter runs diverge (allocator bug)";
+    let compiled, emit_s =
+      timed (fun () ->
+          match Lsra_native.Lower.compile machine copy with
+          | Error e -> diverge ("emission failed: " ^ e)
+          | Ok c -> c)
+    in
+    let native, native_s =
+      timed (fun () ->
+          try
+            Lsra_native.Exec.run_compiled ~fuel ~input compiled
+              ~heap_words:(Program.heap_words prog)
+          with Failure e -> diverge ("native execution failed: " ^ e))
+    in
+    Option.iter
+      (fun t ->
+        diverge ("native run trapped on an interpreter-clean program: " ^ t))
+      native.Lsra_native.Exec.trap;
+    if native.Lsra_native.Exec.output <> expected.Interp.output then
+      diverge
+        (Printf.sprintf "output mismatch: interpreter %S, native %S"
+           (truncated expected.Interp.output)
+           (truncated native.Lsra_native.Exec.output));
+    (match expected.Interp.ret with
+    | Value.Int want when want <> native.Lsra_native.Exec.ret ->
+      diverge
+        (Printf.sprintf "return-value mismatch: interpreter %d, native %d"
+           want native.Lsra_native.Exec.ret)
+    | Value.Int _ | Value.Flt _ | Value.Undef -> ());
+    let code_bytes = native.Lsra_native.Exec.code_bytes in
+    Native_ok { code_bytes; alloc_s; emit_s; interp_s; native_s }
+  with Verdict status -> status
+
 let check_native ?(fuel = 200_000_000) ?(input = "")
     ?(passes = Lsra.Passes.all) machine algo prog =
-  if not (native_available ()) then
-    Native_skipped "host is not x86-64"
-  else
-    match Interp.run ~fuel machine prog ~input with
-    | Error e -> Native_skipped ("reference run traps: " ^ e)
-    | Ok reference -> (
-      let copy = Program.copy prog in
-      match
-        Lsra.Allocator.pipeline ~precheck:false ~verify:false ~passes algo
-          machine copy
-      with
-      | exception e ->
-        Native_skipped ("allocator raised: " ^ Printexc.to_string e)
-      | _stats -> (
-        match Interp.run ~fuel machine copy ~input with
-        | Error e -> Native_skipped ("allocated run traps: " ^ e)
-        | Ok expected ->
-          if reference.Interp.output <> expected.Interp.output then
-            Native_skipped "interpreter runs diverge (allocator bug)"
-          else (
-            match Lsra_native.Lower.compile machine copy with
-            | Error e -> Native_diverged ("emission failed: " ^ e)
-            | Ok compiled -> (
-              match
-                Lsra_native.Exec.run_compiled ~fuel ~input compiled
-                  ~heap_words:(Program.heap_words prog)
-              with
-              | exception Failure e ->
-                Native_diverged ("native execution failed: " ^ e)
-              | native -> (
-                match native.Lsra_native.Exec.trap with
-                | Some t ->
-                  Native_diverged
-                    ("native run trapped on an interpreter-clean program: "
-                   ^ t)
-                | None ->
-                  if
-                    native.Lsra_native.Exec.output
-                    <> expected.Interp.output
-                  then
-                    Native_diverged
-                      (Printf.sprintf
-                         "output mismatch: interpreter %S, native %S"
-                         (truncated expected.Interp.output)
-                         (truncated native.Lsra_native.Exec.output))
-                  else (
-                    match expected.Interp.ret with
-                    | Value.Int want
-                      when want <> native.Lsra_native.Exec.ret ->
-                      Native_diverged
-                        (Printf.sprintf
-                           "return-value mismatch: interpreter %d, native \
-                            %d" want native.Lsra_native.Exec.ret)
-                    | Value.Int _ | Value.Flt _ | Value.Undef ->
-                      Native_ok
-                        {
-                          code_bytes =
-                            native.Lsra_native.Exec.code_bytes;
-                        }))))))
+  native_against ~fuel ~input ~passes machine algo prog
+    (lazy (Interp.run ~fuel machine prog ~input))
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -324,11 +285,6 @@ let check_native ?(fuel = 200_000_000) ?(input = "")
    (e.g. deleting an initialisation) is rejected, so the reproducer is
    always a valid input on which only the allocator (or a cleanup pass)
    is wrong. *)
-let still_fails_by recheck ~fuel prog =
-  match recheck ~fuel prog with
-  | Error (Reference_trap _) | Ok () -> false
-  | Error _ -> true
-
 let delete_instr prog fname bi k =
   let f = Program.find_exn prog fname in
   let b = (Cfg.blocks (Func.cfg f)).(bi) in
@@ -371,29 +327,29 @@ let edits prog =
              deletes @ straightens)))
     (Program.funcs prog)
 
+(* Bound every candidate run by the reference execution of the full
+   program: an edit that creates a runaway loop (straightening a loop
+   exit, deleting an induction increment) then traps in milliseconds
+   instead of burning the interpreter's huge default budget on every such
+   candidate. *)
+let shrink_fuel (o : Interp.outcome) =
+  max (20 * o.Interp.counts.Interp.total) 100_000
+
 (* The shrinking loop itself is oracle-agnostic: [recheck] is any
    program-level differential checker (allocation-only via {!check_with},
-   or the full pipeline via {!check_pipeline}). *)
-let shrink_by ?fuel ?input ?(max_checks = 2_000) machine recheck prog =
-  (* Unless the caller pins the fuel, bound every candidate run by the
-     reference execution of the full program: an edit that creates a
-     runaway loop (straightening a loop exit, deleting an induction
-     increment) then traps in milliseconds instead of burning the
-     interpreter's huge default budget on every such candidate. *)
-  let fuel =
-    match fuel with
-    | Some f -> f
-    | None -> (
-      match
-        Interp.run machine prog ~input:(Option.value input ~default:"")
-      with
-      | Ok o -> max (20 * o.Interp.counts.Interp.total) 100_000
-      | Error _ -> 100_000)
-  in
+   or the full pipeline via {!check_pipeline}). A failure still counts
+   only if the *pre-allocation* program stays well-defined: a shrink step
+   that makes the reference itself trap (e.g. deleting an
+   initialisation) is rejected, so the reproducer is always a valid input
+   on which only the allocator (or a cleanup pass) is wrong. *)
+let shrink_by ~fuel recheck prog =
+  let max_checks = 2_000 in
   let checks = ref 0 in
   let still_fails p =
     incr checks;
-    still_fails_by recheck ~fuel p
+    match recheck ~fuel p with
+    | Error (Reference_trap _) | Ok () -> false
+    | Error _ -> true
   in
   let try_edit cur edit =
     let cand = Program.copy cur in
@@ -431,112 +387,143 @@ let shrink_by ?fuel ?input ?(max_checks = 2_000) machine recheck prog =
     !cur
   end
 
-let shrink ?fuel ?verify ?input ?max_checks machine (alloc : alloc_fn) prog =
-  shrink_by ?fuel ?input ?max_checks machine
-    (fun ~fuel p -> check_with ~fuel ?verify ?input machine alloc p)
-    prog
-
-let shrink_pipeline ?fuel ?verify ?input ?passes ?max_checks machine algo prog
-    =
-  shrink_by ?fuel ?input ?max_checks machine
-    (fun ~fuel p ->
-      Result.map ignore
-        (check_pipeline ~fuel ?verify ?input ?passes machine algo p))
-    prog
+let shrink ?verify machine (alloc : alloc_fn) prog =
+  let fuel =
+    match Interp.run machine prog ~input:"" with
+    | Ok o -> shrink_fuel o
+    | Error _ -> 100_000
+  in
+  shrink_by ~fuel (fun ~fuel p -> check_with ~fuel ?verify machine alloc p) prog
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzing                                                             *)
+(* Sweeps                                                              *)
 
-type fuzz_report = {
-  seed : int;
+type 'a cell = {
   machine_name : string;
-  algorithm : string;
-  divergence : divergence;
-  reproducer : string;
+  program_name : string;
+  algorithm : Lsra.Allocator.algorithm;
+  reference : (Interp.outcome, string) result;
+  result : 'a;
 }
 
-let pp_fuzz_report r =
-  Printf.sprintf
-    "seed %d on %s under %s: %s\nminimal reproducer:\n%s" r.seed
-    r.machine_name r.algorithm
-    (divergence_to_string r.divergence)
-    r.reproducer
+type finding = {
+  divergence : divergence;
+  reproducer : Program.t;
+  artifact : string option;
+}
 
-(* Parameters are derived from the seed so a fixed seed set covers a
-   spread of sizes, call densities and loop-carried pressure. *)
-let fuzz_params seed =
-  {
-    Lsra_workloads.Gen.default_params with
-    Lsra_workloads.Gen.seed;
-    n_funcs = 1 + (seed mod 3);
-    n_temps = 6 + (seed mod 13);
-    n_stmts = 6 + (seed mod 15);
-    max_depth = 2 + (seed mod 2);
-    carried = 1 + (seed mod 4);
-    ext_call_prob = 0.05 +. (0.02 *. float_of_int (seed mod 5));
-  }
-
-let default_fuzz_machines =
-  [
-    ("alpha", Machine.alpha_like);
-    ( "small-8",
-      Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-        ~float_caller_saved:4 () );
-    ("tiny-4", Machine.small ~int_regs:4 ~float_regs:4 ());
-  ]
-
-let fuzz ?fuel ?(verify = true) ?(machines = default_fuzz_machines)
-    ?(algorithms = Lsra.Allocator.all) ?(passes = Lsra.Passes.all)
-    ?(log = ignore) ~seeds () =
-  let failures = ref [] in
+(* Machines × programs × allocators. Each (machine, program) reference is
+   interpreted once, before any allocator sees the program, and handed
+   to every allocator's [check]. *)
+let grid ~fuel ~algorithms machines programs check f =
   List.iter
-    (fun seed ->
-      let params = fuzz_params seed in
+    (fun ((machine_name, machine) as m) ->
       List.iter
-        (fun (machine_name, machine) ->
-          let prog = Lsra_workloads.Gen.program ~params machine in
-          let input =
-            String.init 8 (fun i -> Char.chr (65 + ((seed + i) mod 26)))
+        (fun (entry : Lsra_workloads.Corpus.entry) ->
+          let program_name = entry.name in
+          let reference =
+            Interp.run ~fuel machine entry.program ~input:entry.input
           in
           List.iter
-            (fun algo ->
-              match
-                Result.map ignore
-                  (check_pipeline ?fuel ~verify ~input ~passes machine algo
-                     prog)
-              with
-              | Ok () -> ()
-              | Error d ->
-                let algorithm = Lsra.Allocator.short_name algo in
-                log
-                  (Printf.sprintf "seed %d on %s under %s: %s — shrinking"
-                     seed machine_name algorithm (divergence_to_string d));
-                (* Shrink under the very same full-pipeline (traced)
-                   oracle, so divergences from cleanup passes and trace
-                   mismatches keep reproducing while the program
-                   shrinks. *)
-                let small =
-                  shrink_pipeline ?fuel ~verify ~input ~passes machine algo
-                    prog
-                in
-                let divergence =
-                  match
-                    check_pipeline ?fuel ~verify ~input ~passes machine algo
-                      small
-                  with
-                  | Error d' -> d'
-                  | Ok _ -> d
-                in
-                failures :=
-                  {
-                    seed;
-                    machine_name;
-                    algorithm;
-                    divergence;
-                    reproducer = Lsra_text.Ir_text.to_string small;
-                  }
-                  :: !failures)
+            (fun algorithm ->
+              let result = check m entry algorithm reference in
+              f { machine_name; program_name; algorithm; reference; result })
             algorithms)
-        machines)
-    seeds;
-  List.rev !failures
+        (programs machine))
+    machines
+
+let sanitize =
+  String.map (function
+    | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.') as c -> c
+    | _ -> '-')
+
+(* The reproducer as textual IR, plus the diverging allocator's decision
+   trace over it in both renderings, so a CI failure can be diagnosed
+   from the uploaded files alone, without re-running the sweep. Returns
+   the reproducer's path. *)
+let write_artifact dir ~machine_name ~program_name machine algo reproducer =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let stem =
+    Filename.concat dir
+      (String.concat "_"
+         (List.map sanitize
+            [ program_name; machine_name; Lsra.Allocator.short_name algo ]))
+  in
+  let write ext contents =
+    Out_channel.with_open_text (stem ^ ext) (fun oc ->
+        Out_channel.output_string oc contents)
+  in
+  write ".lsra" (Lsra_text.Ir_text.to_string reproducer);
+  (match
+     let trace = Lsra.Trace.create () in
+     ignore
+       (Lsra.Allocator.run_program ~trace algo machine
+          (Program.copy reproducer));
+     Lsra.Trace.events trace
+   with
+  | events ->
+    write ".trace.txt" (Lsra.Trace.to_text events);
+    write ".trace.jsonl" (Lsra.Trace.to_jsonl events)
+  | exception e ->
+    (* e.g. the divergence is the allocator crashing: record that
+       instead of a trace *)
+    write ".trace.txt"
+      ("no trace: allocation failed with " ^ Printexc.to_string e ^ "\n"));
+  stem ^ ".lsra"
+
+let finding_to_string c =
+  Printf.sprintf "DIVERGENCE %s on %s under %s: %s\nminimal reproducer:\n%s%s"
+    c.program_name c.machine_name
+    (Lsra.Allocator.short_name c.algorithm)
+    (divergence_to_string c.result.divergence)
+    (Lsra_text.Ir_text.to_string c.result.reproducer)
+    (match c.result.artifact with
+    | None -> ""
+    | Some path -> Printf.sprintf "  reproducer written to %s\n" path)
+
+let sweep ?(fuel = 200_000_000) ?(verify = true) ?(passes = Lsra.Passes.all)
+    ~algorithms machines programs f =
+  (* CI sets one variable for the corpus sweep and one for the fuzzer. *)
+  let dir =
+    List.find_map Sys.getenv_opt
+      [ "LSRA_DIFF_ARTIFACT_DIR"; "LSRA_FUZZ_ARTIFACT_DIR" ]
+  in
+  grid ~fuel ~algorithms machines programs
+    (fun (machine_name, machine) (entry : Lsra_workloads.Corpus.entry) algo
+         reference ->
+      match
+        pipeline_against ~fuel ~verify ~input:entry.input ~passes
+          ~alloc:(traced_alloc_of algo) machine entry.program reference
+      with
+      | Ok stats -> Ok stats
+      | Error divergence ->
+        (* A trapping reference leaves nothing to shrink: the input
+           itself is ill-defined. *)
+        let reproducer =
+          match reference with
+          | Error _ -> entry.program
+          | Ok r ->
+            shrink_by ~fuel:(shrink_fuel r)
+              (fun ~fuel p ->
+                Result.map ignore
+                  (check_pipeline ~fuel ~verify ~input:entry.input ~passes
+                     machine algo p))
+              entry.program
+        in
+        let artifact =
+          Option.map
+            (fun dir ->
+              write_artifact dir ~machine_name ~program_name:entry.name
+                machine algo reproducer)
+            dir
+        in
+        Error { divergence; reproducer; artifact })
+    f
+
+let sweep_native ?(fuel = 200_000_000) ?(passes = Lsra.Passes.all)
+    ~algorithms machines programs f =
+  grid ~fuel ~algorithms machines programs
+    (fun (_, machine) (entry : Lsra_workloads.Corpus.entry) algo reference ->
+      native_against ~fuel ~input:entry.input ~passes machine algo
+        entry.program (Lazy.from_val reference))
+    f

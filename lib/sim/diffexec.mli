@@ -7,10 +7,10 @@
     traps on reads of undefined values, so convention violations and
     lost spills surface as concrete divergences.
 
-    [check] / [check_all] apply the oracle to any {!Lsra.Allocator}
-    algorithm; {!fuzz} drives seeded random programs (from
-    {!Lsra_workloads.Gen}) through every allocator and shrinks failures
-    to minimal textual reproducers. *)
+    [check_with] / [check] apply the oracle to an allocation function or
+    an {!Lsra.Allocator} algorithm; {!sweep} and {!sweep_native} drive
+    machines × programs × allocators through the pipeline and native
+    oracles, and shrink failures to minimal textual reproducers. *)
 
 open Lsra_ir
 open Lsra_target
@@ -33,7 +33,7 @@ type divergence =
   | Pass_divergence of { pass : string; underlying : divergence }
       (** a managed pipeline pass (named by {!Lsra.Passes.name}), not the
           allocation itself, introduced the underlying divergence — only
-          from {!check_pipeline} / {!fuzz} *)
+          from {!check_pipeline} / {!sweep} *)
 
 val divergence_to_string : divergence -> string
 
@@ -43,14 +43,6 @@ val is_verifier_reject : divergence -> bool
 
 (** An in-place per-function allocator, as the test suites use. *)
 type alloc_fn = Machine.t -> Func.t -> unit
-
-val alloc_of : Lsra.Allocator.algorithm -> alloc_fn
-
-(** Like {!alloc_of}, but allocates under a decision trace and checks
-    the stream with {!Lsra.Trace.replay_check} and
-    {!Lsra.Trace.well_formed} ([~strict] for second-chance binpacking);
-    a disagreement surfaces as a [Trace_mismatch] divergence. *)
-val traced_alloc_of : Lsra.Allocator.algorithm -> alloc_fn
 
 (** [check_with machine alloc prog] interprets [prog] (untouched — a copy
     is allocated), allocates every function of the copy with [alloc],
@@ -66,47 +58,34 @@ val check_with :
   Program.t ->
   (unit, divergence) result
 
-(** {!check_with} over one of the four named allocators. With
-    [trace_check] (the default) the allocation runs under a decision
-    trace whose replay must agree with the reported stats, so every
-    differential check is also a trace consistency check. *)
+(** {!check_with} over one of the named allocators, allocating under a
+    decision trace whose replay must agree with the reported stats (and
+    whose event stream must be well formed), so every differential check
+    is also a trace consistency check; a disagreement surfaces as a
+    [Trace_mismatch] divergence. *)
 val check :
-  ?fuel:int ->
   ?verify:bool ->
   ?input:string ->
-  ?trace_check:bool ->
   Machine.t ->
   Lsra.Allocator.algorithm ->
   Program.t ->
   (unit, divergence) result
 
-(** Run every algorithm (default {!Lsra.Allocator.all}); returns the
-    divergences found, tagged with the allocator's short name. *)
-val check_all :
-  ?fuel:int ->
-  ?verify:bool ->
-  ?input:string ->
-  ?algorithms:Lsra.Allocator.algorithm list ->
-  Machine.t ->
-  Program.t ->
-  (string * divergence) list
-
 (** The oracle sandwich over the whole managed pipeline: interpret the
     program once for reference, then run the pre-allocation passes of
     [passes] (default {!Lsra.Passes.all}), the allocation (traced, as in
-    {!check}, unless [trace_check] is [false]) and the post-allocation
-    cleanups — re-interpreting after {e every} pass and re-running the
-    abstract verifier after every post-allocation stage ([verify]
-    defaults to [true]). A divergence introduced by a cleanup pass is
-    reported as {!Pass_divergence}, pinned to that pass by name. On
-    success, returns the pipeline's pass statistics (per-pass wall times
-    and [frame_saved], the frame words reclaimed by Slots). *)
+    {!check}) and the post-allocation cleanups — re-interpreting after
+    {e every} pass and re-running the abstract verifier after every
+    post-allocation stage ([verify] defaults to [true]). A divergence
+    introduced by a cleanup pass is reported as {!Pass_divergence},
+    pinned to that pass by name. On success, returns the pipeline's pass
+    statistics (per-pass wall times and [frame_saved], the frame words
+    reclaimed by Slots). *)
 val check_pipeline :
   ?fuel:int ->
   ?verify:bool ->
   ?input:string ->
   ?passes:Lsra.Passes.t list ->
-  ?trace_check:bool ->
   Machine.t ->
   Lsra.Allocator.algorithm ->
   Program.t ->
@@ -114,7 +93,16 @@ val check_pipeline :
 
 (** Result of a native-versus-interpreter cross-check. *)
 type native_status =
-  | Native_ok of { code_bytes : int }
+  | Native_ok of {
+      code_bytes : int;
+      alloc_s : float;
+      emit_s : float;
+      interp_s : float;
+      native_s : float;
+    }
+      (** with the walls, in seconds, of the managed pipeline, the
+          emission, the post-allocation interpreter run and the native
+          run *)
   | Native_skipped of string
       (** nothing to compare: non-x86-64 host, a trapping reference run
           (native semantics are only pinned on interpreter-clean
@@ -125,9 +113,6 @@ type native_status =
           interpreter run — an encoder/lowering bug, or a failure to
           emit an interpreter-clean allocated program at all *)
 
-(** Whether {!check_native} can actually execute code on this host. *)
-val native_available : unit -> bool
-
 (** The native oracle sandwich: interpret [prog] before allocation,
     allocate it through the managed pipeline ([passes] defaults to
     {!Lsra.Passes.all}), re-interpret, then emit x86-64 with
@@ -136,7 +121,8 @@ val native_available : unit -> bool
     return register — to match the post-allocation interpreter run
     exactly. Comparison is gated on both interpreter runs being clean
     and agreeing, so a [Native_diverged] always indicts the native
-    backend, never the allocator. *)
+    backend, never the allocator. A native run that cannot start (e.g.
+    the code cannot be mapped) is a [Native_diverged] too. *)
 val check_native :
   ?fuel:int ->
   ?input:string ->
@@ -146,68 +132,68 @@ val check_native :
   Program.t ->
   native_status
 
-(** Greedy delta-debugging of a failing program: repeatedly delete one
-    instruction or straighten one conditional branch, keeping an edit
-    only while the reference run stays well-defined {e and} the
-    divergence persists, until no single edit helps (or [max_checks]
-    candidates were evaluated, default 2000). Unless [fuel] is given,
-    each candidate's interpreter budget is derived from the reference
-    execution of the input, so edits that create runaway loops are
-    rejected quickly. Returns the input unchanged if it does not fail in
-    the first place. *)
-val shrink :
-  ?fuel:int ->
-  ?verify:bool ->
-  ?input:string ->
-  ?max_checks:int ->
-  Machine.t ->
-  alloc_fn ->
-  Program.t ->
-  Program.t
+(** Greedy delta-debugging of a program failing under [alloc] (run with
+    no input): repeatedly delete one instruction or straighten one
+    conditional branch, keeping an edit only while the reference run
+    stays well-defined {e and} the divergence persists, until no single
+    edit helps (or 2000 candidates were evaluated). Each candidate's
+    interpreter budget is derived from the reference execution of the
+    input, so edits that create runaway loops are rejected quickly.
+    Returns the input unchanged if it does not fail in the first place. *)
+val shrink : ?verify:bool -> Machine.t -> alloc_fn -> Program.t -> Program.t
 
-(** {!shrink}, but against the full-pipeline oracle {!check_pipeline}
-    with the given [passes]: the divergence that must persist may live in
-    a cleanup pass, not just in the allocation. *)
-val shrink_pipeline :
-  ?fuel:int ->
-  ?verify:bool ->
-  ?input:string ->
-  ?passes:Lsra.Passes.t list ->
-  ?max_checks:int ->
-  Machine.t ->
-  Lsra.Allocator.algorithm ->
-  Program.t ->
-  Program.t
-
-type fuzz_report = {
-  seed : int;
+(** One (machine, program, allocator) check of a sweep. [reference] is
+    the program's pre-allocation run, shared by every allocator of the
+    same (machine, program). *)
+type 'a cell = {
   machine_name : string;
-  algorithm : string;
-  divergence : divergence;
-  reproducer : string;  (** textual IR of the shrunk failing program *)
+  program_name : string;
+  algorithm : Lsra.Allocator.algorithm;
+  reference : (Interp.outcome, string) result;
+  result : 'a;
 }
 
-val pp_fuzz_report : fuzz_report -> string
+(** A divergence as found on the whole program, with the program shrunk
+    under the same oracle (as {!shrink} does, against {!check_pipeline};
+    a trapping reference is kept whole). When [LSRA_DIFF_ARTIFACT_DIR]
+    or else [LSRA_FUZZ_ARTIFACT_DIR] names a directory, the reproducer is
+    written there as [PROGRAM_MACHINE_ALLOCATOR.lsra] beside the
+    allocator's decision trace over it ([.trace.txt], [.trace.jsonl]),
+    and [artifact] is the reproducer's path. *)
+type finding = {
+  divergence : divergence;
+  reproducer : Program.t;
+  artifact : string option;
+}
 
-(** The generator parameters a given fuzz seed runs with. *)
-val fuzz_params : int -> Lsra_workloads.Gen.params
+(** The report of one diverging cell: a [DIVERGENCE] line naming the
+    program, machine and allocator, then the reproducer, then the
+    artifact's path if one was written. *)
+val finding_to_string : finding cell -> string
 
-val default_fuzz_machines : (string * Machine.t) list
-
-(** [fuzz ~seeds ()] generates one program per seed and machine, checks
-    it under every algorithm {e through the full managed pipeline}
-    ({!check_pipeline} with [passes], default {!Lsra.Passes.all} — so
-    the fuzzer exercises Copyprop, DCE, Motion, Peephole and Slots, not
-    just allocation), and shrinks each failure under the same pipeline
-    oracle. Deterministic: the same seed set always exercises the same
-    programs. [log] receives one progress line per divergence found. *)
-val fuzz :
+(** [sweep ~algorithms machines programs f] runs every labelled machine
+    × every entry of [programs machine] × every algorithm through
+    {!check_pipeline} ([passes] defaults to {!Lsra.Passes.all}, the
+    allocation runs under a replay-checked trace), calling [f] on each
+    cell in that order. Each (machine, program) reference is interpreted
+    once. *)
+val sweep :
   ?fuel:int ->
   ?verify:bool ->
-  ?machines:(string * Machine.t) list ->
-  ?algorithms:Lsra.Allocator.algorithm list ->
   ?passes:Lsra.Passes.t list ->
-  ?log:(string -> unit) ->
-  seeds:int list ->
-  unit ->
-  fuzz_report list
+  algorithms:Lsra.Allocator.algorithm list ->
+  (string * Machine.t) list ->
+  (Machine.t -> Lsra_workloads.Corpus.entry list) ->
+  ((Lsra.Stats.t, finding) result cell -> unit) ->
+  unit
+
+(** {!sweep} through {!check_native} instead: no shrinking, no
+    artifacts. *)
+val sweep_native :
+  ?fuel:int ->
+  ?passes:Lsra.Passes.t list ->
+  algorithms:Lsra.Allocator.algorithm list ->
+  (string * Machine.t) list ->
+  (Machine.t -> Lsra_workloads.Corpus.entry list) ->
+  (native_status cell -> unit) ->
+  unit

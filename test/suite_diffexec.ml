@@ -21,16 +21,27 @@ let gen_prog ?(machine = tiny) seed =
   in
   Lsra_workloads.Gen.program ~params machine
 
+(* Every allocator on every program: no cell of the sweep may diverge.
+   [passes] defaults to none, i.e. the allocation-only oracle. *)
+let expect_clean_sweep ?(passes = []) machines programs =
+  D.sweep ~passes ~algorithms:Lsra.Allocator.all machines programs (fun c ->
+      match c.D.result with
+      | Ok _ -> ()
+      | Error f ->
+        Alcotest.failf "%s on %s under %s: %s" c.program_name c.machine_name
+          (Lsra.Allocator.short_name c.algorithm)
+          (D.divergence_to_string f.D.divergence))
+
 let test_oracle_accepts_all_allocators () =
-  List.iter
-    (fun seed ->
-      let prog = gen_prog seed in
-      match D.check_all ~input:"abc" tiny prog with
-      | [] -> ()
-      | (algo, d) :: _ ->
-        Alcotest.failf "seed %d under %s: %s" seed algo
-          (D.divergence_to_string d))
-    [ 1; 2; 3; 4; 5 ]
+  expect_clean_sweep [ ("tiny-4", tiny) ] (fun _ ->
+      List.map
+        (fun seed ->
+          {
+            Lsra_workloads.Corpus.name = Printf.sprintf "gen%d" seed;
+            program = gen_prog seed;
+            input = "abc";
+          })
+        [ 1; 2; 3; 4; 5 ])
 
 (* An allocator that allocates correctly, then corrupts one live
    original instruction: flip the `* 31` of the observable-state hash
@@ -125,36 +136,18 @@ let test_shrink_keeps_passing_program () =
   Alcotest.(check int) "untouched" (prog_size prog) (prog_size out)
 
 let test_corpus_spot_check () =
-  (* one synthetic benchmark and one Minilang program, all four
-     allocators, on a spill-heavy machine *)
-  let machine =
-    Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-      ~float_caller_saved:4 ()
-  in
-  (match Lsra_workloads.Specbench.find machine ~scale:1 "wc" with
-  | None -> Alcotest.fail "wc benchmark missing"
-  | Some case -> (
-    match
-      D.check_all machine case.Lsra_workloads.Specbench.program
-        ~input:case.Lsra_workloads.Specbench.input
-    with
-    | [] -> ()
-    | (algo, d) :: _ ->
-      Alcotest.failf "wc under %s: %s" algo (D.divergence_to_string d)));
-  let mini =
-    Lsra_frontend.Minilang.compile machine
-      Lsra_workloads.Mini_corpus.collatz
-  in
-  match D.check_all machine mini ~input:"" with
-  | [] -> ()
-  | (algo, d) :: _ ->
-    Alcotest.failf "collatz under %s: %s" algo (D.divergence_to_string d)
+  (* one synthetic benchmark and one Minilang program, every allocator,
+     on a spill-heavy machine *)
+  let module C = Lsra_workloads.Corpus in
+  expect_clean_sweep [ ("small-7", C.small7) ] (fun m ->
+      List.filter
+        (fun (e : C.entry) -> e.name = "spec:wc" || e.name = "mini:collatz")
+        (C.spec m ~scale:1 @ C.mini m))
 
 let test_fuzz_smoke () =
-  let reports = D.fuzz ~seeds:[ 0; 1; 2 ] () in
-  match reports with
-  | [] -> ()
-  | r :: _ -> Alcotest.failf "fuzz found: %s" (D.pp_fuzz_report r)
+  expect_clean_sweep ~passes:Lsra.Passes.all
+    Lsra_workloads.Corpus.fuzz_machines (fun m ->
+      List.map (fun seed -> Lsra_workloads.Corpus.fuzz m ~seed) [ 0; 1; 2 ])
 
 (* The full managed pipeline (every cleanup pass, per-pass oracle
    checks) must agree with the plain allocation oracle on random
@@ -202,22 +195,137 @@ let test_pass_divergence_classification () =
   in
   if not (String.length printed > 0) then Alcotest.fail "empty rendering"
 
-let test_reference_trap_is_not_an_allocator_bug () =
-  (* a program reading an undefined temp traps before allocation: the
-     oracle must blame the input, not the allocator *)
+(* A program reading an undefined temp: it traps before allocation. *)
+let trapping_prog () =
   let b = Builder.create ~name:"main" in
   let x = Builder.temp b Rclass.Int in
   Builder.start_block b "entry";
   Builder.bin b Instr.Add x (Operand.temp x) (Operand.int 1);
   Builder.move b (Loc.Reg (Machine.int_ret tiny)) (Operand.temp x);
   Builder.ret b;
-  let prog = Program.create ~main:"main" [ ("main", Builder.finish b) ] in
+  Program.create ~main:"main" [ ("main", Builder.finish b) ]
+
+let test_reference_trap_is_not_an_allocator_bug () =
+  (* the oracle must blame the input, not the allocator *)
+  let prog = trapping_prog () in
   match D.check tiny Lsra.Allocator.default_second_chance prog with
   | Error (D.Reference_trap _) -> ()
   | Error d ->
     Alcotest.failf "expected a reference trap, got %s"
       (D.divergence_to_string d)
   | Ok () -> Alcotest.fail "expected the ill-defined program to trap"
+
+(* The sweeps against the direct oracles on a small corpus: two
+   generated programs and one whose reference traps. Every cell must
+   equal the direct check_pipeline / check_native result; the cells of
+   one program must share a single reference run (the same value, not
+   an equal one); and the trapping program must come back as one
+   identical skip per allocator, unallocated — had it been allocated,
+   its post-allocation run would trap as well and the pipeline verdict
+   would be an Allocated_trap. *)
+let sweep_corpus () =
+  List.map
+    (fun seed ->
+      {
+        Lsra_workloads.Corpus.name = Printf.sprintf "gen%d" seed;
+        program = gen_prog seed;
+        input = "abc";
+      })
+    [ 3; 4 ]
+  @ [
+      {
+        Lsra_workloads.Corpus.name = "trap";
+        program = trapping_prog ();
+        input = "";
+      };
+    ]
+
+let sweep_cells sweep =
+  let corpus = sweep_corpus () in
+  let cells = ref [] in
+  sweep [ ("tiny-4", tiny) ] (fun _ -> corpus) (fun c -> cells := c :: !cells);
+  (corpus, List.rev !cells)
+
+let check_shared_reference corpus cells =
+  Alcotest.(check int)
+    "one cell per program and allocator"
+    (List.length corpus * List.length Lsra.Allocator.all)
+    (List.length cells);
+  List.iter
+    (fun (e : Lsra_workloads.Corpus.entry) ->
+      match List.filter (fun c -> c.D.program_name = e.name) cells with
+      | [] -> Alcotest.failf "no cells for %s" e.name
+      | first :: rest ->
+        List.iter
+          (fun c ->
+            if c.D.reference != first.D.reference then
+              Alcotest.failf "%s: reference interpreted more than once" e.name)
+          rest)
+    corpus
+
+let entry_of corpus name =
+  List.find (fun (e : Lsra_workloads.Corpus.entry) -> e.name = name) corpus
+
+let test_pipeline_sweep_matches_direct () =
+  let corpus, cells = sweep_cells (D.sweep ~algorithms:Lsra.Allocator.all) in
+  check_shared_reference corpus cells;
+  let summary = function
+    | Ok stats ->
+      Ok (stats.Lsra.Stats.frame_saved, Lsra.Stats.total_spill stats)
+    | Error d -> Error (D.divergence_to_string d)
+  in
+  List.iter
+    (fun c ->
+      let e = entry_of corpus c.D.program_name in
+      let direct =
+        D.check_pipeline ~input:e.input tiny c.algorithm e.program
+      in
+      let swept = Result.map_error (fun f -> f.D.divergence) c.result in
+      if summary swept <> summary direct then
+        Alcotest.failf "%s under %s: sweep and direct check disagree"
+          e.name
+          (Lsra.Allocator.short_name c.algorithm);
+      match (e.name, c.result) with
+      | "trap", Error { D.divergence = D.Reference_trap _; reproducer; _ } ->
+        if reproducer != e.program then
+          Alcotest.fail "a trapping input must not be shrunk"
+      | "trap", _ -> Alcotest.fail "expected a reference trap"
+      | _, Error f ->
+        Alcotest.failf "%s: %s" e.name (D.divergence_to_string f.D.divergence)
+      | _, Ok _ -> ())
+    cells
+
+let test_native_sweep_matches_direct () =
+  let corpus, cells =
+    sweep_cells (D.sweep_native ~algorithms:Lsra.Allocator.all)
+  in
+  check_shared_reference corpus cells;
+  let summary = function
+    | D.Native_ok { code_bytes; _ } -> Ok code_bytes
+    | D.Native_skipped why -> Error ("skipped: " ^ why)
+    | D.Native_diverged why -> Error ("diverged: " ^ why)
+  in
+  List.iter
+    (fun c ->
+      let e = entry_of corpus c.D.program_name in
+      let direct = D.check_native ~input:e.input tiny c.algorithm e.program in
+      Alcotest.(check (result int string))
+        (e.name ^ " under " ^ Lsra.Allocator.short_name c.algorithm)
+        (summary direct) (summary c.result))
+    cells;
+  if Lsra_native.Exec.available () then
+    match
+      List.sort_uniq compare
+        (List.filter_map
+           (fun c ->
+             if c.D.program_name = "trap" then Some (summary c.result)
+             else None)
+           cells)
+    with
+    | [ Error why ]
+      when String.starts_with ~prefix:"skipped: reference run traps" why ->
+      ()
+    | _ -> Alcotest.fail "expected one identical reference-trap skip"
 
 let suite =
   [
@@ -240,4 +348,8 @@ let suite =
       test_pass_divergence_classification;
     Alcotest.test_case "a trapping input blames the reference" `Quick
       test_reference_trap_is_not_an_allocator_bug;
+    Alcotest.test_case "pipeline sweep cells equal direct checks" `Quick
+      test_pipeline_sweep_matches_direct;
+    Alcotest.test_case "native sweep cells equal direct checks" `Quick
+      test_native_sweep_matches_direct;
   ]

@@ -266,10 +266,12 @@ let arena_matches_boxed seed =
           let liveness = Liveness.compute f in
           let loops = Loop.compute (Func.cfg f) in
           let arena = Lsra.Lifetime.compute regidx f liveness loops in
-          let boxed = Lsra.Lifetime.compute_boxed regidx f liveness loops in
+          let boxed, boxed_busy =
+            Lifetime_oracle.compute_boxed regidx f liveness loops
+          in
           let same_interval t =
             let a = Lsra.Lifetime.interval arena t in
-            let b = Lsra.Lifetime.interval boxed t in
+            let b = boxed.(Temp.id t) in
             Lsra.Interval.segs a = Lsra.Interval.segs b
             && Lsra.Interval.refs a = Lsra.Interval.refs b
           in
@@ -277,7 +279,7 @@ let arena_matches_boxed seed =
           let regs_ok =
             let ok = ref true in
             for r = 0 to Lsra.Regidx.total regidx - 1 do
-              if Lsra.Lifetime.reg_busy arena r <> Lsra.Lifetime.reg_busy boxed r
+              if Lsra.Lifetime.reg_busy arena r <> boxed_busy.(r)
               then ok := false
             done;
             !ok

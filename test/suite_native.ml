@@ -324,7 +324,7 @@ let property_tests =
               QCheck.(int_range 0 100_000)
               (fun seed -> native_property ~mname machine ~aname algo seed))
           Lsra.Allocator.all)
-      Lsra_sim.Diffexec.default_fuzz_machines
+      Lsra_workloads.Corpus.fuzz_machines
 
 let suite =
   [
