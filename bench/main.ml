@@ -239,14 +239,12 @@ let table3 () =
         shape.Lsra_workloads.Pressure.candidates
         (!gc_stats.Lsra.Stats.interference_edges / nproc)
         t_gc t_bp t_tp (t_gc /. t_bp) !bp_stats.Lsra.Stats.dataflow_rounds;
+      let ms p = 1e3 *. Lsra.Stats.pass_time !bp_stats p in
       Printf.printf
         "%-10s   passes(ms): liveness %.2f, lifetime %.2f, scan %.2f, \
          resolution %.2f\n"
-        ""
-        (1e3 *. !bp_stats.Lsra.Stats.time_liveness)
-        (1e3 *. !bp_stats.Lsra.Stats.time_lifetime)
-        (1e3 *. !bp_stats.Lsra.Stats.time_scan)
-        (1e3 *. !bp_stats.Lsra.Stats.time_resolution))
+        "" (ms Lsra.Stats.Liveness) (ms Lsra.Stats.Lifetime)
+        (ms Lsra.Stats.Scan) (ms Lsra.Stats.Resolution))
     Corpus.pressure_shapes;
   hrule 90;
   print_endline "sweep: single procedure, growing candidate count";
@@ -839,6 +837,7 @@ let perfdump () =
     List.iteri
       (fun k (_, w, _) -> totals.(a).(k) <- totals.(a).(k) +. w)
       per_jobs;
+    let pt = Lsra.Stats.pass_time s in
     let pw p = s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index p) in
     if a > 0 then Buffer.add_string buf ",";
     Printf.bprintf buf
@@ -851,9 +850,9 @@ let perfdump () =
       \          \"minor_words_per_instr\": %.1f,\n\
       \          \"by_jobs\": ["
       aname s.Lsra.Stats.dataflow_rounds (Lsra.Stats.total_spill s)
-      s.Lsra.Stats.time_liveness s.Lsra.Stats.time_lifetime
-      s.Lsra.Stats.time_scan s.Lsra.Stats.time_resolution
-      s.Lsra.Stats.time_peephole (pw Lsra.Stats.Liveness)
+      (pt Lsra.Stats.Liveness) (pt Lsra.Stats.Lifetime)
+      (pt Lsra.Stats.Scan) (pt Lsra.Stats.Resolution)
+      (pt Lsra.Stats.Peephole) (pw Lsra.Stats.Liveness)
       (pw Lsra.Stats.Lifetime) (pw Lsra.Stats.Scan)
       (pw Lsra.Stats.Resolution) (pw Lsra.Stats.Peephole)
       (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs));

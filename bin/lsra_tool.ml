@@ -636,8 +636,8 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
             "Serve over a Unix-domain socket bound at $(docv) instead of \
-             stdin/stdout; connections are accepted one at a time until a \
-             QUIT frame.")
+             stdin/stdout; up to $(b,--max-clients) connections are served \
+             concurrently until a QUIT frame.")
   in
   let cache_bytes_arg =
     Arg.(
@@ -658,7 +658,8 @@ let serve_cmd =
       & info [ "queue" ] ~docv:"N"
           ~doc:
             "Bounded request-queue capacity: reaching it processes the \
-             pending batch even without a FLUSH frame.")
+             pending batch at once, so a batch never holds more than \
+             $(docv) requests.")
   in
   let spot_check_arg =
     Arg.(
@@ -735,11 +736,13 @@ let serve_cmd =
       value & opt int 64
       & info [ "max-clients" ] ~docv:"N"
           ~doc:
-            "Maximum concurrent socket connections the multiplexer accepts \
-             (socket mode only); further clients queue in the listen \
-             backlog. Must be below 1024 (POSIX FD_SETSIZE): the \
-             select-based multiplexer cannot watch descriptors past that \
-             limit.")
+            (Printf.sprintf
+               "Maximum concurrent socket connections the multiplexer \
+                accepts (socket mode only); further clients queue in the \
+                listen backlog. Must be below %d (POSIX FD_SETSIZE): the \
+                select-based multiplexer cannot watch descriptors past \
+                that limit."
+               Lsra_service.Mux.fd_setsize))
   in
   let native_arg =
     Arg.(
@@ -756,15 +759,14 @@ let serve_cmd =
   let run machine jobs socket cache_bytes cache_entries queue spot_check
       no_verify store_dir shards store_sync max_clients native =
     handle_errors (fun () ->
-        (* Fail the impossible configuration at startup with a clear
-           message, not mid-serve: select(2) cannot watch fds >=
-           FD_SETSIZE, so such a server would accept clients it can
-           never service. *)
-        if max_clients >= 1024 then begin
+        (* A usage error (exit 2) before the service opens its store,
+           rather than Mux.run's Invalid_argument. *)
+        let limit = Lsra_service.Mux.fd_setsize in
+        if max_clients >= limit then begin
           Printf.eprintf
             "serve: --max-clients %d exceeds what select(2) can watch \
-             (FD_SETSIZE = 1024); use 1023 or fewer\n"
-            max_clients;
+             (FD_SETSIZE = %d); use %d or fewer\n"
+            max_clients limit (limit - 1);
           exit 2
         end;
         let cfg =
@@ -796,11 +798,17 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the allocation service: newline-framed textual-IR requests \
-          (REQ frames with len=-prefixed bodies, batched by FLUSH or a \
-          full queue) over stdin/stdout or a Unix socket, answered from a \
-          content-addressed result cache with LRU eviction. In socket mode \
-          a select-based multiplexer serves many connections at once and \
-          coalesces their concurrent requests into shared batches; with \
+          (REQ frames with len=-prefixed bodies) over stdin/stdout or a \
+          Unix socket, answered from a content-addressed result cache \
+          with LRU eviction. One select-based event loop serves either \
+          mode, and in socket mode many connections at once. Each round \
+          reads every ready connection until its input would block, ends, \
+          or fills the $(b,--queue), then processes what arrived as one \
+          batch, unless every client that sent a request is still \
+          mid-frame (FLUSH and STATS frames process it early). Piped \
+          input is thus batched up to $(b,--queue) requests, a client \
+          that pauses after a frame is answered, and concurrent clients' \
+          requests share batches; with \
           $(b,--store-dir) the cache is journaled to disk and warm-loaded \
           on restart. Requests may carry a deadline-ms compile budget; \
           when the requested allocator's predicted time would blow it, the \

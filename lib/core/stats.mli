@@ -28,15 +28,9 @@ type t = {
       (** functions whose exact search ran to completion: the result is a
           proven optimum of the whole-lifetime model *)
   mutable alloc_time : float;  (** seconds spent inside the allocator *)
-  mutable time_liveness : float;  (** wall seconds, per pass, below *)
-  mutable time_lifetime : float;
-  mutable time_scan : float;
-  mutable time_resolution : float;
-  mutable time_copyprop : float;
-  mutable time_dce : float;
-  mutable time_motion : float;
-  mutable time_peephole : float;
-  mutable time_slots : float;
+  pass_times : float array;
+      (** wall seconds spent inside each {!timed} pass, indexed by
+          {!pass_index}; read one with {!pass_time} *)
   mutable minor_words : float;
       (** GC pressure attributed to the allocator, recorded as
           {!gc_mark} deltas on whichever domain ran the function
@@ -69,10 +63,11 @@ type pass =
 val create : unit -> t
 val total_spill : t -> int
 
-(** Number of {!pass} constructors; [pass_minor_words] has this length. *)
+(** Number of {!pass} constructors; [pass_times] and [pass_minor_words]
+    have this length. *)
 val n_passes : int
 
-(** Dense index of a pass, for [pass_minor_words]. *)
+(** Dense index of a pass, for [pass_times] and [pass_minor_words]. *)
 val pass_index : pass -> int
 
 (** Accumulated wall seconds recorded for a pass. *)

@@ -1,23 +1,28 @@
-(* Event-driven connection multiplexer.
+(* Event-driven connection multiplexer: the one frame parser.
 
-   One [Unix.select] loop owns the listening socket and every client
-   connection. Frames are parsed incrementally out of per-connection
-   read buffers (a connection may deliver half a header, a megabyte of
-   body, or six whole frames per readiness event — all are fine), and
-   completed requests from *all* connections feed the one shared
-   batched {!Scheduler}, so independent clients' concurrent requests
-   coalesce into one domain-pool batch. Responses are routed back by
-   (connection, request id): the scheduler returns each response paired
-   with the request it answers, and the mux keeps its own
+   One [Unix.select] loop owns either a listening socket and every client
+   connection it accepts, or one fixed connection over a read and a
+   write descriptor (stdin/stdout). Frames are parsed incrementally out
+   of per-connection read buffers (a connection may deliver half a
+   header, a megabyte of body, or six whole frames per readiness event —
+   all are fine), and completed requests from *all* connections feed the
+   one shared batched {!Scheduler}, so independent clients' concurrent
+   requests coalesce into one domain-pool batch. Responses are routed
+   back by (connection, request id): the scheduler returns each response
+   paired with the request it answers, and the mux keeps its own
    submission-order queue of (connection, id) — any disagreement
    between the two is a hard internal error, never a frame written to
    the wrong client.
 
-   The batch boundary is the event-loop round: after every readiness
-   sweep, whatever requests arrived — across every connection — are
-   flushed as one batch. FLUSH/STATS force a flush mid-round exactly as
-   they do on the blocking path, and the scheduler's bounded queue
-   still auto-drains on capacity. *)
+   The batch boundary is the event-loop round. A round reads each ready
+   connection until the read would block, EOF, or the scheduler's
+   bounded queue reaches capacity and auto-drains; then whatever
+   requests arrived — across every connection — are flushed as one
+   batch, unless every connection that sent one is mid-frame (still
+   sending), in which case the batch carries over to the next round.
+   Piped input therefore batches up to the queue capacity, and an
+   interactive client is answered as soon as it pauses after a frame.
+   FLUSH/STATS force a flush mid-round. *)
 
 type req_hdr = {
   id : string;
@@ -32,7 +37,9 @@ type istate =
   | Body_lines of { hdr : req_hdr; body : Buffer.t }  (* legacy END *)
 
 type conn = {
-  fd : Unix.file_descr;
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;
+  owned : bool;  (* accepted here, so closed here *)
   mutable rbuf : Bytes.t;
   mutable rlen : int;  (* valid bytes in [rbuf] *)
   mutable rpos : int;  (* consumed prefix of [rbuf] *)
@@ -48,25 +55,27 @@ type conn = {
   mutable wtail : int;  (* end of the valid bytes *)
   mutable severity : int;
   mutable eof : bool;  (* read side done (EOF or reset) *)
-  mutable dead : bool;  (* fully abandoned; fd closed *)
-  mutable closed : bool;
+  mutable dead : bool;  (* fully abandoned: nothing more is written *)
 }
 
 type t = {
   sched : Scheduler.t;
-  lsock : Unix.file_descr;
+  lsock : Unix.file_descr option;
   max_clients : int;
   mutable conns : conn list;
   (* Submission order across all connections; must stay in lockstep
      with the scheduler's queue. *)
   pending : (conn * string) Queue.t;
   mutable quit : bool;
+  mutable drained : bool;  (* a capacity auto-drain answered a batch *)
   mutable severity : int;
 }
 
-let make_conn fd =
+let make_conn ~owned rfd wfd =
   {
-    fd;
+    rfd;
+    wfd;
+    owned;
     rbuf = Bytes.create 8192;
     rlen = 0;
     rpos = 0;
@@ -77,25 +86,21 @@ let make_conn fd =
     severity = 0;
     eof = false;
     dead = false;
-    closed = false;
   }
 
+(* Runs once per connection: when [reap] drops it, or at shutdown. *)
 let close_conn t c =
-  if not c.closed then begin
-    c.closed <- true;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ())
-  end;
+  if c.owned then (try Unix.close c.rfd with Unix.Unix_error _ -> ());
   (* Per-connection severity, aggregated explicitly at close: one
      client's verifier reject or spot-check divergence raises the
      server's exit code without ever leaking into another connection's
      session. *)
   t.severity <- max t.severity c.severity
 
-let mark_dead t c =
+let mark_dead c =
   c.dead <- true;
   c.whead <- 0;
-  c.wtail <- 0;
-  close_conn t c
+  c.wtail <- 0
 
 let wq_len c = c.wtail - c.whead
 
@@ -125,9 +130,9 @@ let wq_add c s =
 let queue_frame c line payload =
   if not c.dead then wq_add c (Protocol.render_frame line payload)
 
-let try_write t c =
+let try_write c =
   if (not c.dead) && wq_len c > 0 then begin
-    match Unix.write c.fd c.wbuf c.whead (wq_len c) with
+    match Unix.write c.wfd c.wbuf c.whead (wq_len c) with
     | n ->
       c.whead <- c.whead + n;
       if c.whead = c.wtail then begin
@@ -135,7 +140,7 @@ let try_write t c =
         c.wtail <- 0
       end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> mark_dead t c  (* EPIPE & friends *)
+    | exception Unix.Unix_error _ -> mark_dead c  (* EPIPE & friends *)
   end
 
 (* Route (request, result) pairs back to their connections. The mux's
@@ -177,8 +182,13 @@ let submit_req t c (hdr : req_hdr) body =
       ~id:hdr.id body
   in
   Queue.push (c, hdr.id) t.pending;
-  (* Capacity auto-drain may answer a whole batch right here. *)
-  route t (Scheduler.submit t.sched req)
+  (* Capacity auto-drain may answer a whole batch right here; it also
+     ends this connection's reads for the round. *)
+  match Scheduler.submit t.sched req with
+  | [] -> ()
+  | pairs ->
+    t.drained <- true;
+    route t pairs
 
 (* ------------------------------------------------------------------ *)
 (* Incremental reading and parsing                                     *)
@@ -198,13 +208,29 @@ let ensure_read_capacity c =
     end
   end
 
+(* One read into [c]'s buffer; [true] when bytes arrived. *)
 let read_chunk c =
   ensure_read_capacity c;
-  match Unix.read c.fd c.rbuf c.rlen (Bytes.length c.rbuf - c.rlen) with
-  | 0 -> c.eof <- true
-  | n -> c.rlen <- c.rlen + n
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> c.eof <- true  (* reset: same as EOF *)
+  match Unix.read c.rfd c.rbuf c.rlen (Bytes.length c.rbuf - c.rlen) with
+  | 0 ->
+    c.eof <- true;
+    false
+  | n ->
+    c.rlen <- c.rlen + n;
+    true
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> false
+  | exception Unix.Unix_error _ ->
+    c.eof <- true;  (* reset: same as EOF *)
+    false
+
+(* A zero-timeout probe, so a blocking descriptor (stdin is left in
+   whatever mode the caller gave it) is only read when a read will not
+   block. Regular files always probe ready. *)
+let readable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (EINTR, _, _) -> false
 
 let find_nl c =
   let rec go i =
@@ -220,15 +246,14 @@ let take_line c nl =
   let n = String.length s in
   if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
 
-(* Discard the rest of a connection's input (protocol violation or
-   disconnect mid-frame): stop reading, drain what we owe, then close. *)
-let poison c =
+(* Answer a protocol violation or a frame cut short by a disconnect with
+   one ERR, then discard the rest of the connection's input: stop
+   reading, drain what we owe, then close. *)
+let reject c id msg =
+  queue_frame c (Protocol.render_err ~id ~code:1 msg) None;
   c.rpos <- c.rlen;
   c.state <- Idle;
   c.eof <- true
-
-let stats_line t id =
-  Protocol.render_stats ~id (Service.counters (Scheduler.service t.sched))
 
 let rec parse_conn t c =
   if c.dead || t.quit then ()
@@ -255,11 +280,9 @@ let rec parse_conn t c =
             | Some need when need > Protocol.max_body ->
               (* Answered with an ERR and dropped rather than letting a
                  single header commit the server to buffering gigabytes. *)
-              queue_frame c
-                (Protocol.render_err ~id ~code:1
-                   (Protocol.oversized_body need))
-                None;
-              poison c
+              reject c id
+                (Printf.sprintf "len=%d exceeds the %d-byte frame cap" need
+                   Protocol.max_body)
             | Some need ->
               c.state <- Body_len { hdr; need };
               parse_conn t c
@@ -271,7 +294,10 @@ let rec parse_conn t c =
             parse_conn t c
           | Ok (Protocol.H_stats id) ->
             flush_batch t;
-            queue_frame c (stats_line t id) None;
+            queue_frame c
+              (Protocol.render_stats ~id
+                 (Service.counters (Scheduler.service t.sched)))
+              None;
             parse_conn t c
           | Ok Protocol.H_quit -> t.quit <- true))
     | Body_len { hdr; need } ->
@@ -282,23 +308,13 @@ let rec parse_conn t c =
         submit_req t c hdr body;
         parse_conn t c
       end
-      else if c.eof then begin
-        queue_frame c
-          (Protocol.render_err ~id:hdr.id ~code:1
-             "end of input inside a REQ frame (len= body truncated)")
-          None;
-        poison c
-      end
+      else if c.eof then
+        reject c hdr.id "end of input inside a REQ frame (len= body truncated)"
     | Body_lines { hdr; body } -> (
       match find_nl c with
       | None ->
-        if c.eof then begin
-          queue_frame c
-            (Protocol.render_err ~id:hdr.id ~code:1
-               "end of input inside a REQ frame (missing END)")
-            None;
-          poison c
-        end
+        if c.eof then
+          reject c hdr.id "end of input inside a REQ frame (missing END)"
       | Some nl ->
         let line = take_line c nl in
         if line = "END" then begin
@@ -312,6 +328,20 @@ let rec parse_conn t c =
           parse_conn t c
         end)
 
+(* One round's reading of a ready connection: read and parse until the
+   read would block, EOF, QUIT, or a capacity auto-drain. Stopping at
+   the drain keeps the answered batch from waiting behind the rest of a
+   long input. *)
+let read_conn t c =
+  t.drained <- false;
+  let rec go () =
+    let got = read_chunk c in
+    parse_conn t c;
+    if got && not (c.eof || c.dead || t.quit || t.drained) && readable c.rfd
+    then go ()
+  in
+  go ()
+
 (* ------------------------------------------------------------------ *)
 (* Accepting                                                           *)
 
@@ -319,13 +349,13 @@ let rec parse_conn t c =
    queued — neither may kill the accept loop (they used to). EAGAIN
    ends the sweep: the listening socket is non-blocking, so a readiness
    event is drained to empty every time. *)
-let accept_clients t =
+let accept_clients t lsock =
   let rec go () =
     if (not t.quit) && List.length t.conns < t.max_clients then
-      match Unix.accept t.lsock with
+      match Unix.accept lsock with
       | fd, _ ->
         Unix.set_nonblock fd;
-        t.conns <- make_conn fd :: t.conns;
+        t.conns <- make_conn ~owned:true fd fd :: t.conns;
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error (EINTR, _, _) -> go ()
@@ -344,6 +374,22 @@ let reap t =
 
 let drained_all t = List.for_all (fun c -> c.dead || wq_len c = 0) t.conns
 
+(* A connection between frames has nothing of a next frame buffered, so
+   it may be waiting for its answers; one mid-frame is still sending and
+   will be read again. *)
+let between_frames c =
+  c.dead || c.eof
+  || (c.rpos = c.rlen && match c.state with Idle -> true | _ -> false)
+
+(* The round's batch waits while every connection that owns a request in
+   it is mid-frame: a producer streaming large frames through a pipe
+   (which holds less than one of them) then keeps batching up to the
+   queue capacity instead of flushing each time the pipe runs dry. QUIT
+   ends reading, so it always flushes. *)
+let batch_due t =
+  t.quit
+  || Queue.fold (fun due (c, _) -> due || between_frames c) false t.pending
+
 (* select(2) cannot watch a file descriptor numbered FD_SETSIZE or
    higher: once that many clients (plus the listener and stdio) are
    connected, further accepts would produce descriptors select silently
@@ -352,7 +398,11 @@ let drained_all t = List.for_all (fun c -> c.dead || wq_len c = 0) t.conns
    reject impossible limits at startup rather than degrade at load. *)
 let fd_setsize = 1024
 
-let run ?(max_clients = 64) sched lsock =
+type endpoint =
+  | Listener of Unix.file_descr
+  | Fds of { input : Unix.file_descr; output : Unix.file_descr }
+
+let run ?(max_clients = 64) sched endpoint =
   if max_clients >= fd_setsize then
     invalid_arg
       (Printf.sprintf
@@ -364,33 +414,43 @@ let run ?(max_clients = 64) sched lsock =
      kills the whole server. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  Unix.set_nonblock lsock;
+  let lsock, conns =
+    match endpoint with
+    | Listener lsock ->
+      Unix.set_nonblock lsock;
+      (Some lsock, [])
+    | Fds { input; output } -> (None, [ make_conn ~owned:false input output ])
+  in
   let t =
     {
       sched;
       lsock;
       max_clients = max 1 max_clients;
-      conns = [];
+      conns;
       pending = Queue.create ();
       quit = false;
+      drained = false;
       severity = 0;
     }
   in
   let running = ref true in
   while !running do
-    if t.quit && drained_all t then running := false
+    if (t.quit && drained_all t) || (Option.is_none t.lsock && t.conns = []) then
+      running := false
     else begin
       let reads =
         if t.quit then []
         else
-          (if List.length t.conns < t.max_clients then [ t.lsock ] else [])
+          (match t.lsock with
+          | Some l when List.length t.conns < t.max_clients -> [ l ]
+          | _ -> [])
           @ List.filter_map
-              (fun c -> if c.dead || c.eof then None else Some c.fd)
+              (fun c -> if c.dead || c.eof then None else Some c.rfd)
               t.conns
       in
       let writes =
         List.filter_map
-          (fun c -> if (not c.dead) && wq_len c > 0 then Some c.fd else None)
+          (fun c -> if (not c.dead) && wq_len c > 0 then Some c.wfd else None)
           t.conns
       in
       if reads = [] && writes = [] then
@@ -401,19 +461,15 @@ let run ?(max_clients = 64) sched lsock =
         match Unix.select reads writes [] (-1.) with
         | exception Unix.Unix_error (EINTR, _, _) -> ()
         | rs, ws, _ ->
-          if List.memq t.lsock rs then accept_clients t;
-          List.iter
-            (fun c ->
-              if List.memq c.fd rs then begin
-                read_chunk c;
-                parse_conn t c
-              end)
-            t.conns;
+          (match t.lsock with
+          | Some l when List.memq l rs -> accept_clients t l
+          | _ -> ());
+          List.iter (fun c -> if List.memq c.rfd rs then read_conn t c) t.conns;
           (* Batch boundary: everything that arrived this round — from
              every connection — is one scheduler batch. *)
-          if Scheduler.pending t.sched > 0 then flush_batch t;
+          if batch_due t then flush_batch t;
           List.iter
-            (fun c -> if List.memq c.fd ws || wq_len c > 0 then try_write t c)
+            (fun c -> if List.memq c.wfd ws || wq_len c > 0 then try_write c)
             t.conns;
           reap t
       end

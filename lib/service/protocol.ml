@@ -76,9 +76,6 @@ let parse_header line =
 
 let max_body = 64 * 1024 * 1024
 
-let oversized_body n =
-  Printf.sprintf "len=%d exceeds the %d-byte frame cap" n max_body
-
 let render_ok (r : Service.response) =
   Printf.sprintf "OK %s cache=%s%s wall-us=%d" r.Service.resp_id
     (if r.Service.cached then "hit" else "cold")
@@ -112,8 +109,8 @@ let frame_body body =
 
 (* [render_frame line payload] is the full wire rendering of one frame:
    the header line — with [len=<bytes>] appended when there is a
-   payload — followed by the payload bytes. Shared by the blocking
-   server loop and the multiplexer so both emit identical frames. *)
+   payload — followed by the payload bytes. The multiplexer emits every
+   response through it, and clients render their requests with it. *)
 let render_frame line payload =
   match payload with
   | None -> line ^ "\n"

@@ -19,8 +19,8 @@
     submission order; [STATS] flushes, then reports the service
     counters; [QUIT] (or end of input) flushes and shuts the server
     down. The bounded queue also flushes itself when full, and the
-    socket multiplexer additionally flushes whatever has arrived across
-    {e all} connections at the end of every event-loop round.
+    server ({!Mux}) flushes whatever has arrived across {e all}
+    connections at the end of every event-loop round.
 
     Server → client frames:
     {v
@@ -53,14 +53,9 @@ type header =
 val parse_header : string -> (header, string) result
 
 (** The largest [len=] a request may declare (64 MiB). A larger one is a
-    protocol violation, not a request: both the blocking loop and the
-    multiplexer answer it with {!oversized_body}'s message and end the
-    session rather than buffer the body. *)
+    protocol violation, not a request: the multiplexer answers it with
+    an [ERR] and ends the session rather than buffer the body. *)
 val max_body : int
-
-(** [oversized_body n] is the error text for a [len=n] over
-    {!max_body}. *)
-val oversized_body : int -> string
 
 (** The [OK] header line {e without} the [len=] field or trailing
     newline — {!render_frame} appends both when given the payload. *)
@@ -77,8 +72,8 @@ val frame_body : string -> string
 (** [render_frame line payload] is the complete wire rendering of one
     frame: [line] with [ len=<bytes>] appended when [payload] is
     [Some _], the newline, and the (normalised) payload bytes. The
-    blocking loop and the multiplexer both emit through this, so frames
-    are identical regardless of the serving path. *)
+    multiplexer emits every response through this, over stdio and
+    sockets alike; clients render their requests with it. *)
 val render_frame : string -> string option -> string
 
 (** Map an exception raised while serving a request to its [ERR] code:

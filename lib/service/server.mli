@@ -1,4 +1,5 @@
-(** The serving loop: {!Protocol} frames over stdio or a Unix socket.
+(** The serving entry points: {!Protocol} frames over stdio or a Unix
+    socket, both through the {!Mux} event loop.
 
     Per-request failures never kill the server — they come back as [ERR]
     frames on the stream — but the loop remembers the worst thing it saw
@@ -9,33 +10,15 @@
     freshly-allocated payloads differ — a correctness failure worth
     failing CI over). *)
 
-(** Emit one complete frame through {!Protocol.render_frame} (responses
-    are length-prefixed) and flush. *)
-val write_frame : out_channel -> string -> string option -> unit
-
-(** Read one request body. [?len] (from the header's [len=]) reads
-    exactly that many bytes — the body may contain any line, including a
-    literal [END]. Without [len] the legacy framing applies: lines up to
-    the first [END] line. [Error] means the input ended inside the
-    frame, or [len] exceeds {!Protocol.max_body} (nothing is read). *)
-val read_body : ?len:int -> in_channel -> (string, string) result
-
-(** Serve one blocking connection: read frames from the input channel
-    until [QUIT] or end of input, writing response frames (flushed after
-    every batch; each frame is tagged from the scheduler's
-    request/response pairing). Returns the worst [ERR] severity seen (0,
-    3 or 4 — code-1 errors are the client's problem, not the
-    server's). *)
-val serve_channels : Scheduler.t -> in_channel -> out_channel -> int
-
-(** Serve stdin/stdout until EOF or [QUIT]. *)
+(** Serve stdin/stdout until [QUIT], end of input, or stdout closing
+    (a closed reader ends the session with the severity so far, never a
+    [SIGPIPE]). *)
 val serve_stdio : Scheduler.t -> int
 
 (** Bind a Unix-domain socket at [path] (replacing any stale socket
     file) and serve up to [max_clients] (default 64) concurrent
-    connections through the {!Mux} event loop until a [QUIT] frame.
-    Requests arriving concurrently on different connections coalesce
-    into shared scheduler batches. The socket file is removed on the way
-    out, including on exceptions. Returns the worst severity seen across
-    every connection. *)
+    connections until a [QUIT] frame. Requests arriving concurrently on
+    different connections coalesce into shared scheduler batches. The
+    socket file is removed on the way out, including on exceptions.
+    Returns the worst severity seen across every connection. *)
 val serve_socket : ?max_clients:int -> Scheduler.t -> string -> int

@@ -151,7 +151,9 @@ let test_mux_rejects_fd_setsize () =
       (Lsra_service.Service.default_config (Machine.small ()))
   in
   let sched = Lsra_service.Scheduler.create ~capacity:4 ~jobs:1 svc in
-  match Lsra_service.Mux.run ~max_clients:1024 sched Unix.stdin with
+  match Lsra_service.Mux.run ~max_clients:1024 sched
+          (Lsra_service.Mux.Listener Unix.stdin)
+  with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "max_clients=1024 (FD_SETSIZE) must be rejected"
 

@@ -1,12 +1,13 @@
-(* Serving-path tests: wire framing edge cases over serve_channels, the
-   persistent store's journal (round-trip, torn tail, compaction),
-   restart warm-loading, and the socket multiplexer with concurrent
-   clients. *)
+(* Serving-path tests: wire framing edge cases over the mux's
+   fixed-connection (stdio) endpoint, the persistent store's journal
+   (round-trip, torn tail, compaction), restart warm-loading, and the
+   socket multiplexer with concurrent clients. *)
 
 open Lsra_target
 module Service = Lsra_service.Service
 module Scheduler = Lsra_service.Scheduler
 module Server = Lsra_service.Server
+module Mux = Lsra_service.Mux
 module Protocol = Lsra_service.Protocol
 module Store = Lsra_service.Store
 
@@ -48,8 +49,9 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* Run one blocking serving session over the given input bytes; returns
-   (severity, raw output bytes). *)
+(* Run one serving session through the mux's fixed-connection endpoint,
+   reading the given input bytes from a file descriptor and writing to
+   another; returns (severity, raw output bytes). *)
 let serve_io ?(spot_check = 0) ?store_dir ?(shards = 1) input =
   let svc =
     Service.create
@@ -65,11 +67,11 @@ let serve_io ?(spot_check = 0) ?store_dir ?(shards = 1) input =
   let out_path = Filename.temp_file "lsra-serve" ".out" in
   Out_channel.with_open_bin in_path (fun oc ->
       Out_channel.output_string oc input);
-  let ic = In_channel.open_bin in_path in
-  let oc = Out_channel.open_bin out_path in
-  let sev = Server.serve_channels sched ic oc in
-  In_channel.close ic;
-  Out_channel.close oc;
+  let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let output = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let sev = Mux.run sched (Mux.Fds { input; output }) in
+  Unix.close input;
+  Unix.close output;
   let out = In_channel.with_open_bin out_path In_channel.input_all in
   Sys.remove in_path;
   Sys.remove out_path;
@@ -191,8 +193,8 @@ let test_len_over_cap n () =
 let test_quit_mid_batch () =
   let a = source ~seed:21 () and b = source ~seed:22 () in
   (* No FLUSH anywhere: QUIT itself must flush the pending batch, in
-     submission order. *)
-  let input = req "a" a ^ req "b" b ^ "QUIT\n" in
+     submission order, even with unread bytes after it. *)
+  let input = req "a" a ^ req "b" b ^ "QUIT\nREQ never len=10\n" in
   let sev, out = serve_io input in
   Alcotest.(check int) "clean" 0 sev;
   match parse_replies out with
@@ -219,6 +221,33 @@ let test_stats_mid_batch () =
     Alcotest.(check bool) "warm-loaded reported" true
       (List.mem_assoc "warm-loaded" fields)
   | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
+
+(* A reader that goes away mid-stream ([serve | head -c 10]) ends the
+   session through a failed write, with severity 0, instead of a SIGPIPE
+   that kills the server. The ~1 MB of STATS replies overflows the pipe,
+   so the server is still writing when the reader closes. *)
+let test_output_closed_mid_stream () =
+  let sched = Scheduler.create (Service.create (Service.default_config machine)) in
+  let in_path = Filename.temp_file "lsra-serve" ".in" in
+  Out_channel.with_open_bin in_path (fun oc ->
+      for i = 1 to 10_000 do
+        Printf.fprintf oc "STATS s%d\n" i
+      done);
+  let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let r, output = Unix.pipe ~cloexec:true () in
+  let reader =
+    Domain.spawn (fun () ->
+        let n = Unix.read r (Bytes.create 10) 0 10 in
+        Unix.close r;
+        n)
+  in
+  let sev = Mux.run sched (Mux.Fds { input; output }) in
+  let n = Domain.join reader in
+  Unix.close input;
+  Unix.close output;
+  Sys.remove in_path;
+  Alcotest.(check int) "reader got the head of the stream" 10 n;
+  Alcotest.(check int) "severity" 0 sev
 
 (* ------------------------------------------------------------------ *)
 (* The persistent store.                                               *)
@@ -420,35 +449,45 @@ let test_mux_concurrent_clients () =
   Unix.close ragged;
   (* Three well-behaved concurrent clients, two requests each: one
      len=-framed, one legacy END-framed; all six answers must be
-     byte-identical and routed to the connection that asked. *)
+     byte-identical and routed to the connection that asked. The client
+     domains only collect (id asked, id answered, body): Alcotest's
+     checks print through a formatter that is not domain-safe, so they
+     run on this domain. *)
   let client i =
     let fd = connect path in
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
-    let check_one id send =
+    let ask id send =
       send ();
       flush oc;
       match read_reply ic with
-      | Protocol.R_ok { id = rid; _ }, Some body ->
-        Alcotest.(check string) "routed to the requesting connection" id rid;
-        Alcotest.(check string) "payload bit-identical" expected body
+      | Protocol.R_ok { id = rid; _ }, Some body -> (id, rid, body)
       | _ -> Alcotest.failf "request %s: unexpected reply" id
     in
-    check_one
-      (Printf.sprintf "c%d.len" i)
-      (fun () ->
-        output_string oc
-          (Protocol.render_frame
-             (Printf.sprintf "REQ c%d.len" i)
-             (Some src)));
-    check_one
-      (Printf.sprintf "c%d.legacy" i)
-      (fun () ->
-        output_string oc (Printf.sprintf "REQ c%d.legacy\n%sEND\n" i src));
-    Unix.close fd
+    let len =
+      ask
+        (Printf.sprintf "c%d.len" i)
+        (fun () ->
+          output_string oc
+            (Protocol.render_frame
+               (Printf.sprintf "REQ c%d.len" i)
+               (Some src)))
+    in
+    let legacy =
+      ask
+        (Printf.sprintf "c%d.legacy" i)
+        (fun () ->
+          output_string oc (Printf.sprintf "REQ c%d.legacy\n%sEND\n" i src))
+    in
+    Unix.close fd;
+    [ len; legacy ]
   in
   let doms = List.init 3 (fun i -> Domain.spawn (fun () -> client i)) in
-  List.iter Domain.join doms;
+  List.iter
+    (fun (id, rid, body) ->
+      Alcotest.(check string) "routed to the requesting connection" id rid;
+      Alcotest.(check string) "payload bit-identical" expected body)
+    (List.concat_map Domain.join doms);
   (* STATS over a fresh connection, then QUIT to shut the server down. *)
   let fd = connect path in
   let ic = Unix.in_channel_of_descr fd in
@@ -477,6 +516,38 @@ let test_mux_concurrent_clients () =
   Alcotest.(check int) "server severity clean" 0 sev;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* A co-process client on pipes sends one frame and waits for its
+   answer: the round ends when its input runs dry between frames, so it
+   is answered without a FLUSH or a full queue. *)
+let test_answered_when_client_pauses () =
+  let sched = Scheduler.create (Service.create (Service.default_config machine)) in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let srv =
+    Domain.spawn (fun () ->
+        Mux.run sched (Mux.Fds { input = in_r; output = out_w }))
+  in
+  let oc = Unix.out_channel_of_descr in_w in
+  let ic = Unix.in_channel_of_descr out_r in
+  let src = source ~seed:51 () in
+  let ask id =
+    output_string oc (req id src);
+    flush oc;
+    read_reply ic
+  in
+  let first = ask "p1" in
+  let second = ask "p2" in
+  close_out oc;
+  let sev = Domain.join srv in
+  List.iter Unix.close [ in_r; out_r; out_w ];
+  Alcotest.(check int) "severity" 0 sev;
+  match (first, second) with
+  | ( (Protocol.R_ok { id = "p1"; hit = false; _ }, Some b1),
+      (Protocol.R_ok { id = "p2"; hit = true; _ }, Some b2) ) ->
+    Alcotest.(check string) "first answer" (direct_output src) b1;
+    Alcotest.(check string) "second answer" (direct_output src) b2
+  | _ -> Alcotest.fail "expected a cold then a warm OK"
+
 let suite =
   [
     Alcotest.test_case "framing: len= body may contain END" `Quick
@@ -497,6 +568,8 @@ let suite =
       test_quit_mid_batch;
     Alcotest.test_case "frames: STATS mid-batch flushes first" `Quick
       test_stats_mid_batch;
+    Alcotest.test_case "frames: output closed mid-stream ends cleanly" `Quick
+      test_output_closed_mid_stream;
     Alcotest.test_case "store: journal round-trip, shard guard" `Quick
       test_store_round_trip;
     Alcotest.test_case "store: torn tail skipped and healed" `Quick
@@ -509,4 +582,6 @@ let suite =
       test_service_restart_warm;
     Alcotest.test_case "mux: concurrent clients, ragged disconnect" `Quick
       test_mux_concurrent_clients;
+    Alcotest.test_case "mux: a client pausing after a frame is answered"
+      `Quick test_answered_when_client_pauses;
   ]
